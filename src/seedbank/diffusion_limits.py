@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .branching_phase import psi
@@ -27,23 +26,24 @@ from .errors import (
 from .seedbank_flows import (
     drift_k1_closed,
     drift_k2_closed,
-    drift_second_derivative,
     h_function,
+    lyapunov_drift_fn,
 )
 
 
 def drift_factor_fn(d):
-    """Second derivative of the projection map as a fast callable of x0.
+    """Second derivative of the projection map as a callable of x0, scalar or
+    array.
 
-    Uses the closed K <= 2 forms (which equal the engine output) and falls
-    back to the Lyapunov-solver pipeline for deeper seed banks.
+    Uses the closed K <= 2 forms (which equal the engine output) and the
+    deflated Lyapunov pipeline for deeper seed banks.
     """
     if d.k == 1:
         b0 = d.b[0]
         return lambda x0: drift_k1_closed(b0, x0)
     if d.k == 2:
         return lambda x0: drift_k2_closed(d, x0)
-    return lambda x0: drift_second_derivative(d, x0)
+    return lyapunov_drift_fn(d)
 
 
 @dataclass
@@ -282,7 +282,7 @@ def constant_coefficients_vec(d):
     big_b = d.mean_time
 
     def drift_vec(x):
-        return 0.5 * x * (1.0 - x) * np.array([phi2(z) for z in x])
+        return 0.5 * x * (1.0 - x) * phi2(x)
 
     def diff_vec(x):
         return np.sqrt(np.maximum(x * (1.0 - x), 0.0)) / (big_b * (1.0 - x) + 1.0)
@@ -296,6 +296,7 @@ def scale_fixation(drift_fn, diff_fn, start):
     Integrates the joint ODE dI/dw = 2 mu / sigma^2, dS/dw = exp(-I) from 0,
     then returns S(start)/S(1).
     """
+    from scipy.integrate import solve_ivp  # deferred: slow to import
 
     def rhs(w, y):
         z = min(max(w, 1e-12), 1.0 - 1e-12)
@@ -365,27 +366,15 @@ def _pde_operator_rows(mu, half_sig2, h):
     """Tridiagonal rows (sub, diag, super) of the discrete generator at the
     interior nodes, with upwinding of the advection when the cell Peclet
     number exceeds 2."""
-    n = mu.size
-    sub = np.empty(n)
-    diag = np.empty(n)
-    sup = np.empty(n)
-    for i in range(n):
-        a = half_sig2[i] / h**2
-        m = mu[i]
-        peclet = abs(m) * h / half_sig2[i] if half_sig2[i] > 0 else np.inf
-        if peclet > 2.0:
-            if m > 0:
-                sub[i] = a
-                diag[i] = -2.0 * a - m / h
-                sup[i] = a + m / h
-            else:
-                sub[i] = a - m / h
-                diag[i] = -2.0 * a + m / h
-                sup[i] = a
-        else:
-            sub[i] = a - m / (2.0 * h)
-            diag[i] = -2.0 * a
-            sup[i] = a + m / (2.0 * h)
+    a = half_sig2 / h**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peclet = np.where(half_sig2 > 0, np.abs(mu) * h / half_sig2, np.inf)
+    upwind = peclet > 2.0
+    forward = mu > 0
+    sub = np.where(upwind, np.where(forward, a, a - mu / h), a - mu / (2.0 * h))
+    diag = np.where(upwind, np.where(forward, -2.0 * a - mu / h, -2.0 * a + mu / h),
+                    -2.0 * a)
+    sup = np.where(upwind, np.where(forward, a + mu / h, a), a + mu / (2.0 * h))
     return sub, diag, sup
 
 
@@ -430,7 +419,7 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     h = 1.0 / (n - 1)
     rho = np.linspace(0.0, 1.0, n)
     interior = rho[1:-1]
-    phi2_grid = np.array([phi2(z) for z in interior])
+    phi2_grid = phi2(interior)
     den = big_b * (1.0 - interior) + 1.0
     rho_fac = interior * (1.0 - interior)
 

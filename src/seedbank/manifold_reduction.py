@@ -17,8 +17,7 @@ with the remaining spectrum strictly stable, this module computes:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from .errors import (
     DomainViolation,
@@ -216,39 +215,69 @@ def lyapunov_rhs(hessians, v, p_s):
     return p_s.T @ weighted @ p_s
 
 
+def deflation_basis(u):
+    """Orthonormal basis W (dim x dim-1) of the complement of u.
+
+    The columns of one Householder reflector that maps u onto a multiple of
+    the first unit vector, less its first column.
+    """
+    u = np.asarray(u, dtype=float)
+    h = u / np.linalg.norm(u)
+    h[0] += 1.0 if h[0] >= 0.0 else -1.0
+    reflector = np.eye(u.size) - np.outer(h, h) / abs(h[0])
+    return reflector[:, 1:]
+
+
+def _check_lyapunov_residual(a, x, q):
+    """Raise SingularSystem unless A^T X + X A = Q to within 1e-8 max(1, |Q|)."""
+    residual = np.max(np.abs(a.T @ x + x @ a - q))
+    if not residual <= 1e-8 * max(1.0, np.max(np.abs(q))):
+        raise SingularSystem(f"Lyapunov residual {residual} too large")
+
+
+def _no_sort(wr, wi):
+    return 0
+
+
+def solve_lyapunov(a, q):
+    """S with A^T S + S A = Q, by the Bartels-Stewart method.
+
+    Real Schur form A = Z T Z^T (LAPACK gees), then the quasi-triangular
+    Sylvester equation T^T Y + Y T = Z^T Q Z (LAPACK trsyl), S = Z Y Z^T.
+    Raises SingularSystem when the factorisation fails, when two eigenvalues
+    of A (nearly) sum to zero, or when the residual exceeds 1e-8 max(1, |Q|).
+    """
+    t, _, _, _, z, _, info = lapack.dgees(_no_sort, a)
+    if info != 0:
+        raise SingularSystem(f"Schur factorisation failed (gees info {info})")
+    y, scale, info = lapack.dtrsyl(t, t, z.T @ q @ z, trana="T")
+    if info != 0:
+        raise SingularSystem(
+            f"Lyapunov operator singular: eigenvalues of A sum to ~0 (trsyl info {info})"
+        )
+    s = z @ (y / scale) @ z.T
+    _check_lyapunov_residual(a, s, q)
+    return s
+
+
 def solve_theta(j, hessians, v, p_s, u):
     """Unique symmetric Theta with J^T Theta + Theta J = rhs and Theta u = 0.
 
-    Solved as a dense least-squares system over the free entries of a symmetric
-    matrix, with the constraint rows Theta u = 0 appended.  The problem is tiny
-    (dim <= ~20), so a direct lstsq with a rank/residual check is both simple
-    and reliable.
+    Both rhs and Theta vanish along u, so Theta = W S W^T with W an
+    orthonormal basis of the complement of u (``deflation_basis``), and S
+    solves the deflated Lyapunov equation A^T S + S A = W^T rhs W with
+    A = W^T J W, whose spectrum is that of J without its null eigenvalue
+    (``solve_lyapunov``, O(dim^3)).  Raises SingularSystem when the deflated
+    equation is singular or the residual of the full equation exceeds
+    1e-8 max(1, |rhs|).
     """
     j = np.asarray(j, dtype=float)
-    n = j.shape[0]
-    rhs_mat = lyapunov_rhs(hessians, v, p_s)
-    pairs = [(a, c) for a in range(n) for c in range(a, n)]
-    a_mat = np.zeros((n * n + n, len(pairs)))
-    for k, (a, c) in enumerate(pairs):
-        basis = np.zeros((n, n))
-        basis[a, c] = 1.0
-        basis[c, a] = 1.0
-        a_mat[: n * n, k] = (j.T @ basis + basis @ j).ravel()
-        a_mat[n * n :, k] = basis @ u
-    rhs = np.concatenate([rhs_mat.ravel(), np.zeros(n)])
-    sol, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    if rank < len(pairs):
-        raise SingularSystem(
-            f"constrained Lyapunov system rank {rank} < {len(pairs)} unknowns"
-        )
-    theta = np.zeros((n, n))
-    for k, (a, c) in enumerate(pairs):
-        theta[a, c] = sol[k]
-        theta[c, a] = sol[k]
-    residual = np.max(np.abs(a_mat @ sol - rhs))
-    scale = max(1.0, np.max(np.abs(rhs_mat)))
-    if residual > 1e-8 * scale:
-        raise SingularSystem(f"Lyapunov residual {residual} too large")
+    rhs = lyapunov_rhs(hessians, v, p_s)
+    w = deflation_basis(u)
+    s = solve_lyapunov(w.T @ j @ w, w.T @ rhs @ w)
+    theta = w @ s @ w.T
+    theta = 0.5 * (theta + theta.T)
+    _check_lyapunov_residual(j, theta, rhs)
     return theta
 
 
@@ -369,6 +398,8 @@ def project_to_manifold(flow, x, tol=1e-10, chunk_t=50.0, max_chunks=200):
     Integrates in chunks until the field's norm at the endpoint drops below
     ``tol``.
     """
+    from scipy.integrate import solve_ivp  # deferred: slow to import
+
     y = np.asarray(x, dtype=float)
     flow._check_domain(y)
     for _ in range(max_chunks):

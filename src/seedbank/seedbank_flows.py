@@ -25,10 +25,10 @@ from .core_model import GerminationDistribution, tail_sums
 from .errors import UnsupportedK, ValidationError
 from .manifold_reduction import (
     FlowField,
-    diagonal_chart,
     ManifoldChart,
-    projections,
-    solve_theta,
+    deflation_basis,
+    diagonal_chart,
+    solve_lyapunov,
 )
 
 TAGS = ("constant", "linearized", "slow_env", "fast_env")
@@ -300,21 +300,45 @@ def drift_bound(big_b, x0):
     return big_b * (big_b * (1.0 - x0) + 2.0) / den**3
 
 
-def drift_second_derivative(d, x0):
-    """Second derivative of the projection map's first component on the manifold.
+def lyapunov_drift_fn(d):
+    """Second derivative of the projection map's first component on the
+    manifold, as a callable of x0 (a scalar or an array).
 
     Computed as the closed-form bound minus the (0,0) entry of the curvature
-    matrix attributable to the rank-one Hessian defect, the latter obtained
-    from the semistable Lyapunov solver.
+    matrix attributable to the rank-one Hessian defect, the latter from the
+    deflated semistable Lyapunov solve.  Along the manifold u = (1, ..., 1)
+    is fixed, the Jacobian is J(1) + (1 - x0) e_0 r^T with r the first row of
+    J(0), and the defect right-hand side is 2 (1 - x0) v_0 Delta with
+    v_0 = 1 / (B (1 - x0) + 1); Delta u = 0, so the stable projections drop
+    out.  The deflated pieces are therefore formed once per distribution, and
+    each x0 costs one K x K Lyapunov solve.
     """
     kind = FlowKind("constant", d)
-    jac = jacobian_on_gamma(kind, x0)
-    u, v = eigvecs_on_gamma(kind, x0)
-    _, p_s = projections(u, v)
+    big_b = d.mean_time
+    w = deflation_basis(np.ones(d.k + 1))
+    a_settled = w.T @ jacobian_on_gamma(kind, 1.0) @ w
+    w0 = w[0]
+    row = jacobian_on_gamma(kind, 0.0)[0] @ w
     delta, _ = delta_matrix(d)
-    hessians = [2.0 * (1.0 - x0) * delta] + [np.zeros_like(delta)] * d.k
-    theta_delta = solve_theta(jac, hessians, v, p_s, u)
-    return drift_bound(d.mean_time, x0) - theta_delta[0, 0]
+    delta_w = w.T @ delta @ w
+
+    def phi2(x0):
+        x0 = np.asarray(x0, dtype=float)
+        out = np.empty(x0.shape)
+        for idx, x in np.ndenumerate(x0):
+            one_minus = 1.0 - x
+            s = solve_lyapunov(a_settled + one_minus * np.outer(w0, row),
+                               2.0 * one_minus / (big_b * one_minus + 1.0) * delta_w)
+            out[idx] = drift_bound(big_b, x) - w0 @ s @ w0
+        return out if out.ndim else out[()]
+
+    return phi2
+
+
+def drift_second_derivative(d, x0):
+    """Second derivative of the projection map's first component at x0, from
+    the Lyapunov pipeline (``lyapunov_drift_fn``) at any dormancy depth."""
+    return lyapunov_drift_fn(d)(x0)
 
 
 def drift_k1_closed(b0, x0):

@@ -271,6 +271,10 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
         raise ValidationError("replicates must be at least 100")
     if regime == "slow" and env is None:
         raise ValidationError("slow regime requires an environment process")
+    if regime == "slow" and env.n_pop != n_pop:
+        raise ValidationError(
+            f"environment process built for N={env.n_pop}, simulation has N={n_pop}"
+        )
     if regime == "fast" and fenv is None:
         raise ValidationError("fast regime requires a FastEnvSpec")
     start_count = int(round(start * n_pop))

@@ -28,6 +28,7 @@ from seedbank.errors import (
     DomainViolation,
     MultipleNullEigenvalues,
     NoNullEigenvalue,
+    SingularSystem,
     SpectrumViolation,
 )
 from seedbank.manifold_reduction import lyapunov_rhs
@@ -136,6 +137,71 @@ def test_solve_theta_matches_closed_form():
             theta = solve_theta(jac, hessians_on_gamma(kind, x0), v, p_s, u)
             np.testing.assert_allclose(theta, theta_g_closed(d, x0), atol=1e-9)
             np.testing.assert_allclose(theta @ u, np.zeros(k + 1), atol=1e-9)
+
+
+def lstsq_theta(j, hessians, v, p_s, u):
+    """Dense least-squares oracle for Theta: the free entries of a symmetric
+    matrix, with the constraint rows Theta u = 0 appended (O(dim^6))."""
+    n = j.shape[0]
+    rhs_mat = lyapunov_rhs(hessians, v, p_s)
+    pairs = [(a, c) for a in range(n) for c in range(a, n)]
+    a_mat = np.zeros((n * n + n, len(pairs)))
+    for k, (a, c) in enumerate(pairs):
+        basis = np.zeros((n, n))
+        basis[a, c] = 1.0
+        basis[c, a] = 1.0
+        a_mat[: n * n, k] = (j.T @ basis + basis @ j).ravel()
+        a_mat[n * n :, k] = basis @ u
+    rhs = np.concatenate([rhs_mat.ravel(), np.zeros(n)])
+    sol, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    assert rank == len(pairs)
+    theta = np.zeros((n, n))
+    for k, (a, c) in enumerate(pairs):
+        theta[a, c] = sol[k]
+        theta[c, a] = sol[k]
+    return theta
+
+
+@pytest.mark.parametrize("k", [5, 20])
+def test_deflated_solve_matches_lstsq_and_quadrature(k):
+    d = random_simplex(np.random.default_rng(100 + k), k)
+    kind = FlowKind("constant", d)
+    for x0 in (0.1, 0.5, 0.9):
+        jac = jacobian_on_gamma(kind, x0)
+        u, v = eigvecs_on_gamma(kind, x0)
+        _, p_s = projections(u, v)
+        hess = hessians_on_gamma(kind, x0)
+        theta = solve_theta(jac, hess, v, p_s, u)
+        scale = np.max(np.abs(theta))
+        for want in (lstsq_theta(jac, hess, v, p_s, u), theta_integral(jac, hess, v, p_s)):
+            assert np.max(np.abs(theta - want)) <= 1e-8 * scale
+        assert np.max(np.abs(theta @ u)) <= 1e-12 * scale
+
+
+def test_solve_theta_second_null_eigenvalue_raises():
+    # two uncoupled blocks, each with a null eigenvalue: the deflated block
+    # keeps one of them, so the Lyapunov operator is singular
+    jac = np.zeros((3, 3))
+    jac[:2, :2] = [[-0.5, 0.5], [1.0, -1.0]]
+    u, v = null_eigenpair(jac[:2, :2])
+    u, v = np.append(u, 0.0), np.append(v, 0.0)
+    _, p_s = projections(u, v)
+    rng = np.random.default_rng(37)
+    for hess in ([np.zeros((3, 3))] * 3,
+                 [m + m.T for m in rng.standard_normal((3, 3, 3))]):
+        with pytest.raises(SingularSystem):
+            solve_theta(jac, hess, v, p_s, u)
+
+
+def test_solve_theta_inconsistent_rhs_raises():
+    # an unprojected right-hand side does not vanish along u, so no Theta
+    # with Theta u = 0 solves the equation
+    d = validate_distribution([0.5, 0.3, 0.2])
+    kind = FlowKind("constant", d)
+    jac = jacobian_on_gamma(kind, 0.4)
+    u, v = eigvecs_on_gamma(kind, 0.4)
+    with pytest.raises(SingularSystem):
+        solve_theta(jac, hessians_on_gamma(kind, 0.4), v, np.eye(3), u)
 
 
 def test_theta_integral_cross_pipeline():

@@ -29,7 +29,8 @@ from seedbank import (
     validate_distribution,
 )
 from seedbank.errors import UnsupportedK, ValidationError
-from seedbank.seedbank_flows import left_eigvec_prime
+from seedbank.diffusion_limits import drift_factor_fn
+from seedbank.seedbank_flows import left_eigvec_prime, lyapunov_drift_fn
 from conftest import random_simplex
 
 
@@ -215,6 +216,39 @@ def test_drift_boundary_and_bound():
             assert val <= drift_bound(big_b, x0) + 1e-12
     assert drift_bound(0.0, 0.5) == 0.0
     assert drift_bound(1.0, 0.0) == pytest.approx(0.375)
+
+
+def test_lyapunov_drift_matches_generic_solve_deep():
+    # the once-per-distribution deflation equals the generic solve of the
+    # defect system, and scalar and array evaluation agree exactly
+    rng = np.random.default_rng(59)
+    xs = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    for k in (3, 5, 20):
+        d = random_simplex(rng, k)
+        kind = FlowKind("constant", d)
+        delta, _ = delta_matrix(d)
+        got = lyapunov_drift_fn(d)(xs)
+        for x0, val in zip(xs, got):
+            jac = jacobian_on_gamma(kind, x0)
+            u, v = eigvecs_on_gamma(kind, x0)
+            _, p_s = projections(u, v)
+            hess = [2.0 * (1.0 - x0) * delta] + [np.zeros_like(delta)] * k
+            want = drift_bound(d.mean_time, x0) - solve_theta(jac, hess, v, p_s, u)[0, 0]
+            assert abs(val - want) <= 1e-10 * max(1.0, abs(want))
+            assert val == drift_second_derivative(d, x0)
+
+
+def test_drift_factor_accepts_arrays():
+    rng = np.random.default_rng(61)
+    xs = np.linspace(0.0, 1.0, 101)
+    for k in (1, 2, 4):
+        d = random_simplex(rng, k)
+        phi2 = drift_factor_fn(d)
+        got = phi2(xs)
+        each = np.array([phi2(float(x)) for x in xs])
+        assert got.shape == xs.shape
+        np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0)
+        assert np.ndim(phi2(0.3)) == 0
 
 
 def test_drift_strictly_increasing():

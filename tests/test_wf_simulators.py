@@ -197,6 +197,10 @@ def test_run_fixation_validation_and_edges():
     with pytest.raises(ValidationError):
         run_fixation("fast", d, 100, 0.3, 200, 1000, seed=1)
 
+    env = make_env_process("deterministic_logistic", 0.5, 2.0, 120, r=2.0, xi_inf=1.0)
+    with pytest.raises(ValidationError):
+        run_fixation("slow", d, 100, 0.3, 200, 1000, seed=1, env=env)
+
     est = run_fixation("constant", d, 100, 0.0, 200, 1000, seed=1)
     assert est.p_hat == 0.0 and est.lost_count == 200
     est = run_fixation("constant", d, 100, 1.0, 200, 1000, seed=1)
