@@ -164,8 +164,7 @@ def cmd_g_plot(args):
                 # realize mean time B with a two-generation bank: b1 = b2 = B/3
                 d = validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
                                            big_b / 3.0])
-            for rho in rhos:
-                val = g_function(d, float(rho), float(xi))
+            for rho, val in zip(rhos, g_function(d, rhos, float(xi))):
                 lines.append(
                     f"{_fmt(float(xi))},{_fmt(float(big_b))},"
                     f"{_fmt(float(rho))},{_fmt(val)}"
@@ -215,23 +214,16 @@ def cmd_mc_compare(args):
         env=env,
         fenv=fenv,
     )
-    if args.regime == "constant":
-        spec = sde_constant(d)
-        prediction = scale_fixation(
-            lambda x: spec.drift(np.array([x]))[0],
-            lambda x: spec.diffusion(np.array([x]))[0, 0],
-            args.start,
-        )
-    elif args.regime == "fast":
-        spec = sde_fast_env(d, fenv)
-        prediction = scale_fixation(
-            lambda x: spec.drift(np.array([x]))[0],
-            lambda x: spec.diffusion(np.array([x]))[0, 0],
-            args.start,
-        )
-    else:
+    if args.regime == "slow":
         prediction = kolmogorov_fixation(
             d, {"r": args.r, "xi_inf": args.xi_inf}, args.start
+        )
+    else:
+        spec = sde_constant(d) if args.regime == "constant" else sde_fast_env(d, fenv)
+        prediction = scale_fixation(
+            lambda x: spec.drift(np.array([x]))[0],
+            lambda x: spec.diffusion(np.array([x]))[0, 0],
+            args.start,
         )
     payload = {
         "estimate": estimate.to_dict(),
@@ -266,7 +258,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("psi-curve", help="splice map psi_B(y) curves")
     p.add_argument("--B", default="0,0.1,0.5,1,2")
@@ -324,6 +315,7 @@ def build_parser():
     p.add_argument("--xi-inf", dest="xi_inf", type=float, default=1.0)
     p.add_argument("--xi-min", dest="xi_min", type=float, default=0.1)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=2.0)
+    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_mc_compare)
 

@@ -338,6 +338,7 @@ def g_function(d, rho0, xi):
 
     Positive values mean the fluctuations favour the dormancy trait at
     proportion rho0 and population size xi; negative values disfavour it.
+    ``rho0`` may be an array.
     """
     big_b = d.mean_time
     phi2 = drift_factor_fn(d)

@@ -1,11 +1,16 @@
 """Exact discrete-generation simulators for the three regimes.
 
-Each generation, the number of new mature mutants is a binomial draw whose
-success probability weighs mutant seeds from the last K+1 generations against
-the wild-type pool, followed by an ageing shift of the seed-bank coordinates.
-The three regimes share one probability kernel so that degenerate parameter
-choices (no environment marks, constant population size) are bit-identical to
-the constant regime under the same seed.
+All regimes run one generation kernel, ``_generation``: the number of new
+mature mutants is a binomial draw whose success probability weighs mutant
+seeds from the last K+1 generations against the wild-type pool, followed by an
+ageing shift of the seed-bank coordinates.  The regimes differ only in what
+they feed it (the mature sizes floor(xi N) of generations t and t+1, or the
+weights of the environment marks), so degenerate parameter choices are
+bit-identical to the constant regime under the same seed.
+
+A Monte Carlo block holds only the replicates still running, each with its own
+environment register (xi in the slow regime, the last K marks in the fast
+regime); absorbed rows are dropped after each generation, order kept.
 
 Monte Carlo fixation runs use counter-based RNG streams (Philox keyed by
 master seed, replicate block, and channel), so results are independent of
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryConditionViolated, ValidationError
+from .core_model import SlowEnvSpec
+from .errors import ValidationError
 
 BLOCK_SIZE = 4096
 _GEN_CHANNEL = 0
@@ -46,6 +52,31 @@ def _transition_probs(x, b, wild, w0, w):
     return num / den
 
 
+def _age(register, fresh):
+    """Shift a (R, K+1) or (R, K) register by one generation, ``fresh`` in front."""
+    new = np.empty_like(register)
+    new[:, 0] = fresh
+    new[:, 1:] = register[:, :-1]
+    return new
+
+
+def _generation(x, b, trials_now, trials_next, w0, w, rng):
+    """One generation of every row of ``x`` (shape (R, K+1), integer counts).
+
+    ``trials_now``/``trials_next`` are the mature population sizes of
+    generations t and t+1 (scalars or shape (R,)); ``w0``/``w`` are the
+    environment weights passed to ``_transition_probs``.
+    """
+    probs = _transition_probs(x.astype(float), b, (trials_now - x[:, 0]).astype(float),
+                              w0, w)
+    return _age(x, rng.binomial(trials_next, probs))
+
+
+def _mature_size(xi, n_pop):
+    """Mature population size floor(xi * N) of an environment value (or array)."""
+    return np.floor(np.asarray(xi, dtype=float) * n_pop).astype(np.int64)
+
+
 def step_constant(x, d, n_pop, rng):
     """One generation of the constant-environment chain.
 
@@ -53,12 +84,7 @@ def step_constant(x, d, n_pop, rng):
     shape.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.int64))
-    b = d.array
-    probs = _transition_probs(x.astype(float), b, (n_pop - x[:, 0]).astype(float), 1.0,
-                              np.ones(d.k))
-    new = np.empty_like(x)
-    new[:, 0] = rng.binomial(n_pop, probs)
-    new[:, 1:] = x[:, :-1]
+    new = _generation(x, d.array, n_pop, n_pop, 1.0, np.ones(d.k), rng)
     return new if new.shape[0] > 1 else new[0]
 
 
@@ -69,14 +95,8 @@ def step_slow(x, xi_now, xi_next, d, n_pop, rng):
     t+1; the mature population sizes are floor(xi * N).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.int64))
-    b = d.array
-    trials_now = np.floor(np.asarray(xi_now, dtype=float) * n_pop).astype(np.int64)
-    trials_next = np.floor(np.asarray(xi_next, dtype=float) * n_pop).astype(np.int64)
-    probs = _transition_probs(x.astype(float), b, (trials_now - x[:, 0]).astype(float),
-                              1.0, np.ones(d.k))
-    new = np.empty_like(x)
-    new[:, 0] = rng.binomial(trials_next, probs)
-    new[:, 1:] = x[:, :-1]
+    new = _generation(x, d.array, _mature_size(xi_now, n_pop),
+                      _mature_size(xi_next, n_pop), 1.0, np.ones(d.k), rng)
     return new if new.shape[0] > 1 else new[0]
 
 
@@ -90,38 +110,48 @@ def step_fast(x, marks, new_mark, d, n_pop, fenv, rng):
     x = np.atleast_2d(np.asarray(x, dtype=np.int64))
     marks2 = np.atleast_2d(np.asarray(marks))
     new_mark = np.atleast_1d(np.asarray(new_mark))
-    b = d.array
     s_n = fenv.s_of_N(n_pop)
-    w0 = 1.0 + s_n * new_mark
-    w = 1.0 + s_n * marks2.astype(float)
-    probs = _transition_probs(x.astype(float), b, (n_pop - x[:, 0]).astype(float),
-                              w0, w)
-    new = np.empty_like(x)
-    new[:, 0] = rng.binomial(n_pop, probs)
-    new[:, 1:] = x[:, :-1]
-    new_marks = np.empty_like(marks2)
-    new_marks[:, 0] = new_mark
-    new_marks[:, 1:] = marks2[:, :-1]
+    new = _generation(x, d.array, n_pop, n_pop, 1.0 + s_n * new_mark,
+                      1.0 + s_n * marks2.astype(float), rng)
+    new_marks = _age(marks2, new_mark)
     if np.ndim(marks) == 1:
         return new[0], new_marks[0]
     return new, new_marks
 
 
 @dataclass(frozen=True)
-class EnvProcess:
+class EnvProcess(SlowEnvSpec):
     """Discrete environment process for the slow regime.
 
-    ``step(xi, rng)`` returns the next environment value; the moment orders
-    match the diffusion assumptions by construction.
+    A ``SlowEnvSpec`` (whose checks validate the box and the boundary
+    conditions) together with the population size N it is scaled for.
+    ``step(xi, rng)`` advances one generation; ``xi`` may be an array holding
+    one environment value per replicate.  The moment orders match the
+    diffusion assumptions by construction.
     """
 
     kind: str
-    xi_min: float
-    xi_max: float
     n_pop: int
-    alpha: callable
-    eta: callable
-    step: callable
+
+    def __post_init__(self):
+        if self.kind not in ("deterministic_logistic", "reflected_walk"):
+            raise ValidationError(f"unknown environment process kind {self.kind!r}")
+        super().__post_init__()
+
+    def step(self, xi, rng):
+        """Next environment value of each entry of ``xi``.
+
+        ``deterministic_logistic`` adds alpha(xi)/N and draws nothing;
+        ``reflected_walk`` also adds +/- eta(xi)/sqrt(N), one independent
+        fair sign per entry, and reflects the result into [xi_min, xi_max].
+        """
+        new = xi + self.alpha(xi) / self.n_pop
+        if self.kind == "reflected_walk":
+            sign = np.where(rng.random(np.shape(xi)) < 0.5, 1.0, -1.0)
+            new = new + sign * self.eta(xi) / np.sqrt(self.n_pop)
+            new = np.where(new < self.xi_min, 2 * self.xi_min - new, new)
+            new = np.where(new > self.xi_max, 2 * self.xi_max - new, new)
+        return np.clip(new, self.xi_min, self.xi_max)
 
 
 def make_env_process(kind, xi_min, xi_max, n_pop, r=None, xi_inf=None,
@@ -130,47 +160,18 @@ def make_env_process(kind, xi_min, xi_max, n_pop, r=None, xi_inf=None,
 
     ``deterministic_logistic``: xi(t+1) = xi(t) + r xi (xi_inf - xi)/N, no
     noise.  ``reflected_walk``: xi(t+1) = xi(t) + alpha(xi)/N +/- eta(xi)/sqrt(N)
-    with equal probability, reflected into [xi_min, xi_max].
+    with equal probability, reflected into [xi_min, xi_max]; ``alpha`` and
+    ``eta`` must accept arrays.
     """
     if kind == "deterministic_logistic":
         if r is None or xi_inf is None:
             raise ValidationError("deterministic_logistic needs r and xi_inf")
-        alpha_fn = lambda xi: r * xi * (xi_inf - xi)
-        eta_fn = lambda xi: 0.0
-    elif kind == "reflected_walk":
-        if alpha is None or eta is None:
-            raise ValidationError("reflected_walk needs alpha and eta")
-        alpha_fn, eta_fn = alpha, eta
-    else:
-        raise ValidationError(f"unknown environment process kind {kind!r}")
-
-    if alpha_fn(xi_min) < 0:
-        raise BoundaryConditionViolated("alpha(xi_min) must be >= 0")
-    if alpha_fn(xi_max) > 0:
-        raise BoundaryConditionViolated("alpha(xi_max) must be <= 0")
-    if abs(eta_fn(xi_min)) > 0 or abs(eta_fn(xi_max)) > 0:
-        raise BoundaryConditionViolated("eta must vanish at xi_min and xi_max")
-
-    if kind == "deterministic_logistic":
-
-        def step(xi, rng):
-            new = xi + alpha_fn(xi) / n_pop
-            return min(max(new, xi_min), xi_max)
-
-    else:
-
-        def step(xi, rng):
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            new = xi + alpha_fn(xi) / n_pop + sign * eta_fn(xi) / np.sqrt(n_pop)
-            # reflect into the box
-            if new < xi_min:
-                new = 2 * xi_min - new
-            if new > xi_max:
-                new = 2 * xi_max - new
-            return min(max(new, xi_min), xi_max)
-
-    return EnvProcess(kind=kind, xi_min=xi_min, xi_max=xi_max, n_pop=n_pop,
-                      alpha=alpha_fn, eta=eta_fn, step=step)
+        alpha = lambda xi: r * xi * (xi_inf - xi)
+        eta = lambda xi: 0.0
+    elif kind == "reflected_walk" and (alpha is None or eta is None):
+        raise ValidationError("reflected_walk needs alpha and eta")
+    return EnvProcess(xi_min=xi_min, xi_max=xi_max, alpha=alpha, eta=eta, kind=kind,
+                      n_pop=n_pop)
 
 
 @dataclass(frozen=True)
@@ -204,57 +205,43 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     environment channels."""
     gen_rng = _block_rng(master_seed, block_index, _GEN_CHANNEL)
     env_rng = _block_rng(master_seed, block_index, _ENV_CHANNEL)
-    k = d.k
     b = d.array
-    x = np.full((block_size, k + 1), start_count, dtype=np.int64)
-    active = np.ones(block_size, dtype=bool)
-    fixed = lost = 0
+    x = np.full((block_size, d.k + 1), start_count, dtype=np.int64)
+    trials_now = trials_next = n_pop
+    w0, w = 1.0, np.ones(d.k)
+    # one environment register per replicate, compacted together with x:
+    # xi in the slow regime, the last K marks in the fast regime
     if regime == "slow":
-        xi_now = xi0
-    if regime == "fast":
-        marks = np.zeros((block_size, k), dtype=np.int64)
+        env_state = np.full(block_size, float(xi0))
+    elif regime == "fast":
+        env_state = np.zeros((block_size, d.k), dtype=np.int64)
         s_n = fenv.s_of_N(n_pop)
+    else:
+        env_state = np.empty((block_size, 0))
+    fixed = lost = 0
 
     for _ in range(max_generations):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if x.shape[0] == 0:
             break
-        xa = x[idx].astype(float)
-        if regime == "constant":
-            wild = float(n_pop) - xa[:, 0]
-            probs = _transition_probs(xa, b, wild, 1.0, np.ones(k))
-            trials = n_pop
-        elif regime == "slow":
-            xi_next = env.step(xi_now, env_rng)
-            trials_now = int(np.floor(xi_now * n_pop))
-            trials = int(np.floor(xi_next * n_pop))
-            wild = float(trials_now) - xa[:, 0]
-            probs = _transition_probs(xa, b, wild, 1.0, np.ones(k))
-            xi_now = xi_next
-        else:  # fast
-            new_mark = fenv.sample_marks(env_rng, idx.size)
+        if regime == "slow":
+            xi_next = env.step(env_state, env_rng)
+            trials_now = _mature_size(env_state, n_pop)
+            trials_next = _mature_size(xi_next, n_pop)
+            env_state = xi_next
+        elif regime == "fast":
+            new_mark = fenv.sample_marks(env_rng, x.shape[0])
             w0 = 1.0 + s_n * new_mark
-            w = 1.0 + s_n * marks[idx].astype(float)
-            wild = float(n_pop) - xa[:, 0]
-            probs = _transition_probs(xa, b, wild, w0, w)
-            trials = n_pop
+            w = 1.0 + s_n * env_state.astype(float)
+            env_state = _age(env_state, new_mark)
 
-        new0 = gen_rng.binomial(trials, probs)
-        x[idx, 1:] = x[idx, :-1]
-        x[idx, 0] = new0
-        if regime == "fast":
-            shifted = marks[idx]
-            shifted[:, 1:] = shifted[:, :-1].copy()
-            shifted[:, 0] = new_mark
-            marks[idx] = shifted
-
-        hit_fixed = x[idx, 0] == trials
-        hit_lost = (x[idx] == 0).all(axis=1)
+        x = _generation(x, b, trials_now, trials_next, w0, w, gen_rng)
+        hit_fixed = x[:, 0] == trials_next
+        hit_lost = (x == 0).all(axis=1)
         fixed += int(hit_fixed.sum())
         lost += int(hit_lost.sum())
-        active[idx] = ~(hit_fixed | hit_lost)
-    censored = int(active.sum())
-    return fixed, lost, censored
+        keep = ~(hit_fixed | hit_lost)
+        x, env_state = x[keep], env_state[keep]
+    return fixed, lost, x.shape[0]
 
 
 def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
@@ -263,7 +250,9 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
 
     ``start`` is the initial mutant frequency; the initial state puts every
     seed-bank generation at round(start * N) (a point on the attractor
-    diagonal).  Censored replicates are excluded from p_hat and reported.
+    diagonal).  In the slow regime every replicate starts at ``xi0`` and
+    follows its own environment path.  Censored replicates are excluded from
+    p_hat and reported.
     """
     if regime not in ("constant", "slow", "fast"):
         raise ValidationError(f"unknown regime {regime!r}")
@@ -280,6 +269,14 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
     start_count = int(round(start * n_pop))
     if not 0 <= start_count <= n_pop:
         raise ValidationError("start frequency outside [0, 1]")
+    if regime == "slow":
+        if not env.xi_min <= xi0 <= env.xi_max:
+            raise ValidationError(f"xi0={xi0} outside [{env.xi_min}, {env.xi_max}]")
+        if start_count > _mature_size(xi0, n_pop):
+            raise ValidationError(
+                f"{start_count} starting mutants exceed the floor(xi0 * N) mature "
+                "individuals of generation 0"
+            )
 
     blocks = []
     remaining = replicates

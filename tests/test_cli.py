@@ -109,18 +109,18 @@ def test_h_contour(tmp_path):
 
 
 def test_mc_compare(tmp_path):
-    rc, out = run(
-        tmp_path,
-        "mc.json",
-        ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "50",
-         "--start", "0.2", "--replicates", "200", "--max-generations", "5000",
-         "--seed", "4"],
-    )
+    argv = ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "50",
+            "--start", "0.2", "--replicates", "200", "--max-generations", "5000",
+            "--seed", "4"]
+    rc, out = run(tmp_path, "mc.json", argv)
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["estimate"]["replicates"] == 200
     assert 0.0 < payload["diffusion_prediction"] < 1.0
     assert abs(payload["estimate"]["p_hat"] - payload["diffusion_prediction"]) < 0.2
+
+    rc, threaded = run(tmp_path, "mc_threads.json", argv + ["--threads", "2"])
+    assert rc == 0 and threaded.read_bytes() == out.read_bytes()
 
 
 def test_reduce(tmp_path):
@@ -143,6 +143,12 @@ def test_exit_codes(tmp_path, capsys):
 
     rc = main(["psi-curve", "--B", "0,-1", "--out", str(tmp_path / "bad.csv")])
     assert rc == 2
+    capsys.readouterr()
+
+    # only mc-compare runs Monte Carlo, so only it takes --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["psi-curve", "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
     # a logistic environment that never reaches its limit exhausts the budget

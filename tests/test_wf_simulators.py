@@ -7,6 +7,7 @@ from seedbank import FastEnvSpec, validate_distribution
 from seedbank.diffusion_limits import logistic_xi
 from seedbank.errors import BoundaryConditionViolated, ValidationError
 from seedbank.wf_simulators import (
+    EnvProcess,
     make_env_process,
     run_fixation,
     step_constant,
@@ -143,6 +144,9 @@ def test_make_env_process_validation():
         make_env_process("reflected_walk", 0.5, 2.0, 100, alpha=lambda x: 0.0)
     with pytest.raises(ValidationError):
         make_env_process("brownian", 0.5, 2.0, 100, r=1.0, xi_inf=1.0)
+    with pytest.raises(ValidationError):
+        EnvProcess(xi_min=0.5, xi_max=2.0, alpha=lambda x: 0.0, eta=lambda x: 0.0,
+                   kind="reflected-walk", n_pop=100)
     # eta must vanish on the boundary, alpha must point inward
     with pytest.raises(BoundaryConditionViolated):
         make_env_process(
@@ -151,6 +155,15 @@ def test_make_env_process_validation():
     with pytest.raises(BoundaryConditionViolated):
         make_env_process(
             "deterministic_logistic", 0.5, 2.0, 100, r=1.0, xi_inf=0.3
+        )
+    # the box itself must be valid: 0 < xi_min < xi_max
+    with pytest.raises(ValidationError):
+        make_env_process(
+            "reflected_walk", 2.0, 0.5, 100, alpha=lambda x: 0.0, eta=lambda x: 0.0
+        )
+    with pytest.raises(ValidationError):
+        make_env_process(
+            "reflected_walk", 0.0, 2.0, 100, alpha=lambda x: 0.0, eta=lambda x: 0.0
         )
 
 
@@ -179,6 +192,10 @@ def test_reflected_walk_moments_and_box():
     np.testing.assert_allclose(increments**2 * n_pop, eta(xi0) ** 2, atol=1e-12)
     se = eta(xi0) / math.sqrt(n_pop * increments.size)
     assert abs(increments.mean()) < 4 * se
+    # an array of environment values steps with one independent sign per entry
+    many = env.step(np.full(20000, xi0), rng)
+    np.testing.assert_allclose((many - xi0) ** 2 * n_pop, eta(xi0) ** 2, atol=1e-12)
+    assert abs((many - xi0).mean()) < 4 * se
     # a long trajectory stays inside the box
     xi = 0.52
     for _ in range(20000):
@@ -200,6 +217,14 @@ def test_run_fixation_validation_and_edges():
     env = make_env_process("deterministic_logistic", 0.5, 2.0, 120, r=2.0, xi_inf=1.0)
     with pytest.raises(ValidationError):
         run_fixation("slow", d, 100, 0.3, 200, 1000, seed=1, env=env)
+
+    # more starting mutants than the floor(xi0 * N) mature individuals
+    env = make_env_process("deterministic_logistic", 0.2, 2.0, 100, r=2.0, xi_inf=1.0)
+    with pytest.raises(ValidationError):
+        run_fixation("slow", d, 100, 0.8, 200, 1000, seed=1, env=env, xi0=0.5)
+    # xi0 outside the environment's box
+    with pytest.raises(ValidationError):
+        run_fixation("slow", d, 100, 0.3, 200, 1000, seed=1, env=env, xi0=5.0)
 
     est = run_fixation("constant", d, 100, 0.0, 200, 1000, seed=1)
     assert est.p_hat == 0.0 and est.lost_count == 200
@@ -242,6 +267,55 @@ def test_degenerate_regimes_bit_identical_to_constant():
     fast = run_fixation("fast", d, seed=17, fenv=fenv, **kwargs)
     assert fast.fixed_count == base.fixed_count
     assert fast.lost_count == base.lost_count
+
+
+def test_reflected_walk_std_err_matches_seed_spread():
+    # Every replicate follows its own environment path, so the replicates of
+    # one run are independent and the binomial std_err describes the spread
+    # of p_hat across master seeds.  With 20 seeds the sample sd estimates
+    # the true sd with a relative error of about 1/sqrt(2 * 19) = 0.16; if
+    # std_err is honest the ratio lies in [0.6, 1.5] with probability above
+    # 99% (chi-square with 19 degrees of freedom).  When the replicates of a
+    # block share one path, the ratio is about 2.6 for this environment.
+    d = validate_distribution([0.5, 0.5])
+    n_pop = 40
+    env = make_env_process(
+        "reflected_walk", 0.5, 2.0, n_pop,
+        alpha=lambda x: 0.0 * x, eta=lambda x: (x - 0.5) * (2.0 - x),
+    )
+    estimates = [
+        run_fixation("slow", d, n_pop, 0.3, 2048, 10**5, seed=seed, env=env, xi0=1.0)
+        for seed in range(1, 21)
+    ]
+    assert all(est.censored_count == 0 for est in estimates)
+    p_hat = np.array([est.p_hat for est in estimates])
+    std_err = np.array([est.std_err for est in estimates])
+    assert 0.6 <= p_hat.std(ddof=1) / std_err.mean() <= 1.5
+
+
+@pytest.mark.parametrize(
+    "regime, extra, counts",
+    [
+        ("constant", {}, (688, 2805, 1507)),
+        ("fast", {"fenv": FastEnvSpec(p=0.25, s=1.0)}, (862, 2576, 1562)),
+        (
+            "slow",
+            {
+                "env": make_env_process(
+                    "deterministic_logistic", 0.5, 2.0, 60, r=2.0, xi_inf=0.8
+                ),
+                "xi0": 1.0,
+            },
+            (932, 2926, 1142),
+        ),
+    ],
+)
+def test_run_fixation_pinned_counts(regime, extra, counts):
+    # exact (fixed, lost, censored) over two replicate blocks: any change to
+    # the draw order or to the per-generation update shows up here
+    d = validate_distribution([0.5, 0.3, 0.2])
+    est = run_fixation(regime, d, 60, 0.2, 5000, 150, seed=5, **extra)
+    assert (est.fixed_count, est.lost_count, est.censored_count) == counts
 
 
 def test_fixation_estimate_to_dict():
