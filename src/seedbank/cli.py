@@ -24,13 +24,12 @@ from .core_model import (
     validate_distribution,
 )
 from .diffusion_limits import (
-    drift_factor_fn,
+    constant_coefficients_vec,
+    fast_coefficients_vec,
     g_function,
     kolmogorov_fixation,
     psi_cap,
     scale_fixation,
-    sde_constant,
-    sde_fast_env,
 )
 from .errors import NumericalError, SeedbankError, ValidationError
 from .manifold_reduction import reduce_point
@@ -99,8 +98,7 @@ def cmd_drift_surface(args):
     x0s = np.linspace(0.0, 1.0, args.grid)
     for b0 in b0s:
         d = validate_distribution([b0, 1.0 - b0])
-        for x0 in x0s:
-            val = drift_second_derivative(d, float(x0))
+        for x0, val in zip(x0s, drift_second_derivative(d, x0s)):
             lines.append(f"{_fmt(float(b0))},{_fmt(float(x0))},{_fmt(val)}")
     _emit(args.out, lines)
 
@@ -118,14 +116,7 @@ def cmd_fixation_heatmap(args):
             b2 = (1.0 - q) * (1.0 - b0)
             d = validate_distribution([b0, b1, b2])
             big_b = d.mean_time
-            start = psi(big_b, y)
-            phi2 = drift_factor_fn(d)
-            den = lambda x: big_b * (1.0 - x) + 1.0
-            fix = scale_fixation(
-                lambda x: 0.5 * x * (1.0 - x) * phi2(x),
-                lambda x: np.sqrt(max(x * (1.0 - x), 0.0)) / den(x),
-                start,
-            )
+            fix = scale_fixation(*constant_coefficients_vec(d), psi(big_b, y))
             bound = psi_cap(big_b, y)
             lines.append(
                 f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
@@ -219,12 +210,9 @@ def cmd_mc_compare(args):
             d, {"r": args.r, "xi_inf": args.xi_inf}, args.start
         )
     else:
-        spec = sde_constant(d) if args.regime == "constant" else sde_fast_env(d, fenv)
-        prediction = scale_fixation(
-            lambda x: spec.drift(np.array([x]))[0],
-            lambda x: spec.diffusion(np.array([x]))[0, 0],
-            args.start,
-        )
+        pair = (constant_coefficients_vec(d) if args.regime == "constant"
+                else fast_coefficients_vec(d, fenv))
+        prediction = scale_fixation(*pair, args.start)
     payload = {
         "estimate": estimate.to_dict(),
         "diffusion_prediction": prediction,

@@ -1,7 +1,8 @@
 """Limiting diffusions, fixation probabilities, and the backward PDE solver.
 
 Provides the limiting SDEs of the three regimes (constant environment, slowly
-varying population size, fast environment marks), an Euler-Maruyama integrator
+varying population size, fast environment marks; each 1-D regime is written
+once, as an array-native (drift, diffusion) pair), an Euler-Maruyama integrator
 with absorbing boundaries, scale-function fixation probabilities for
 autonomous 1-D diffusions, the closed-form fixation bound Psi(B, y), the sign
 diagnostic g for stochastic population-size fluctuations, and a Crank-Nicolson
@@ -63,26 +64,65 @@ class SdeSpec:
     absorbing: tuple
 
 
-def sde_constant(d):
-    """Limiting 1-D diffusion of the constant-environment model."""
+def constant_coefficients_vec(d):
+    """Drift and diffusion of the constant-environment diffusion, as callables
+    of x (a scalar or an array):
+    mu(x) = x (1 - x) phi''(x) / 2 and sigma(x) = sqrt(x (1 - x)) / (B (1 - x) + 1).
+    """
     phi2 = drift_factor_fn(d)
     big_b = d.mean_time
 
-    def drift(y, t=0.0):
-        x = y[0]
-        return np.array([0.5 * x * (1.0 - x) * phi2(x)])
+    def drift_vec(x):
+        return 0.5 * x * (1.0 - x) * phi2(x)
 
-    def diffusion(y, t=0.0):
-        x = y[0]
-        return np.array([[math.sqrt(max(x * (1.0 - x), 0.0)) / (big_b * (1.0 - x) + 1.0)]])
+    def diff_vec(x):
+        v = x * (1.0 - x)
+        # 0.5 (v + |v|) = max(v, 0), without np.maximum's cost on scalars
+        return np.sqrt(0.5 * (v + abs(v))) / (big_b * (1.0 - x) + 1.0)
 
+    return drift_vec, diff_vec
+
+
+def fast_coefficients_vec(d, fenv):
+    """Drift and diffusion of the fast-environment diffusion (dormancy depth
+    one), as callables of x (a scalar or an array).
+
+    Drift is the constant-environment drift plus p s^2 x (1 - x) h(x, b0);
+    the environmental noise averages out, so the diffusion coefficient is that
+    of the constant-environment model.
+    """
+    if d.k != 1:
+        raise UnsupportedK("fast-environment SDE requires K = 1 (no closed-form "
+                           "mixed derivative is available for deeper seed banks)")
+    drift_vec, diff_vec = constant_coefficients_vec(d)
+    b0 = d.b[0]
+    p, s = fenv.p, fenv.s
+
+    def fast_drift_vec(x):
+        return drift_vec(x) + p * s**2 * x * (1.0 - x) * h_function(x, b0)
+
+    return fast_drift_vec, diff_vec
+
+
+def _sde_1d(drift_vec, diff_vec):
+    """1-D ``SdeSpec`` on [0, 1], absorbing at both ends, of a coefficient pair."""
     return SdeSpec(
         dim=1,
-        drift=drift,
-        diffusion=diffusion,
+        drift=lambda y, t=0.0: np.array([drift_vec(y[0])]),
+        diffusion=lambda y, t=0.0: np.array([[diff_vec(y[0])]]),
         domain=np.array([[0.0, 1.0]]),
         absorbing=((0.0, 1.0),),
     )
+
+
+def sde_constant(d):
+    """Limiting 1-D diffusion of the constant-environment model."""
+    return _sde_1d(*constant_coefficients_vec(d))
+
+
+def sde_fast_env(d, fenv):
+    """Limiting 1-D diffusion of the fast environment (dormancy depth one)."""
+    return _sde_1d(*fast_coefficients_vec(d, fenv))
 
 
 def sde_slow_env(d, env, variable="proportion"):
@@ -160,34 +200,6 @@ def sde_slow_env(d, env, variable="proportion"):
     )
 
 
-def sde_fast_env(d, fenv):
-    """Limiting 1-D diffusion of the fast environment (dormancy depth one).
-
-    Drift is the constant-environment drift plus p s^2 x0 (1 - x0) h(x0, b0);
-    the environmental noise averages out, so the diffusion coefficient is that
-    of the constant-environment model.
-    """
-    if d.k != 1:
-        raise UnsupportedK("fast-environment SDE requires K = 1 (no closed-form "
-                           "mixed derivative is available for deeper seed banks)")
-    base = sde_constant(d)
-    b0 = d.b[0]
-    p, s = fenv.p, fenv.s
-
-    def drift(y, t=0.0):
-        x = y[0]
-        extra = p * s**2 * x * (1.0 - x) * h_function(x, b0)
-        return base.drift(y, t) + np.array([extra])
-
-    return SdeSpec(
-        dim=1,
-        drift=drift,
-        diffusion=base.diffusion,
-        domain=base.domain,
-        absorbing=base.absorbing,
-    )
-
-
 def integrate_sde(spec, x0, t_end, dt, seed):
     """Euler-Maruyama path with clamping and absorbing-boundary freezing.
 
@@ -224,24 +236,6 @@ def integrate_sde(spec, x0, t_end, dt, seed):
     return times, path, absorbed
 
 
-def vectorized_coefficients(spec):
-    """Vectorized (drift, diffusion) callables of a 1-D autonomous spec.
-
-    Returns functions mapping an array of states to arrays of coefficients,
-    for use with ``sample_absorption``.
-    """
-    if spec.dim != 1:
-        raise ValidationError("vectorized coefficients require a 1-D spec")
-
-    def drift_vec(x):
-        return np.array([spec.drift(np.array([xi]))[0] for xi in x])
-
-    def diff_vec(x):
-        return np.array([spec.diffusion(np.array([xi]))[0, 0] for xi in x])
-
-    return drift_vec, diff_vec
-
-
 def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
     """Vectorized absorption sampling for a 1-D diffusion on [0, 1].
 
@@ -251,43 +245,24 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     if not dt > 0:
         raise StepSizeInvalid(f"invalid step dt={dt}")
     rng = np.random.default_rng(seed)
-    y = np.full(replicates, float(start))
-    active = np.ones(replicates, dtype=bool)
+    y = np.full(replicates, float(start))  # live replicates only, order kept
     fixed = lost = 0
     n_steps = int(round(max_time / dt))
     sqrt_dt = math.sqrt(dt)
     for _ in range(n_steps):
-        if not active.any():
+        if not y.size:
             break
-        idx = np.flatnonzero(active)
-        x = y[idx]
-        x = np.clip(
-            x + drift_vec(x) * dt + diff_vec(x) * sqrt_dt * rng.standard_normal(idx.size),
+        y = np.clip(
+            y + drift_vec(y) * dt + diff_vec(y) * sqrt_dt * rng.standard_normal(y.size),
             0.0,
             1.0,
         )
-        hit_lost = x < 1e-9
-        hit_fixed = x > 1.0 - 1e-9
+        hit_lost = y < 1e-9
+        hit_fixed = y > 1.0 - 1e-9
         lost += int(hit_lost.sum())
         fixed += int(hit_fixed.sum())
-        y[idx] = x
-        active[idx] = ~(hit_lost | hit_fixed)
-    censored = int(active.sum())
-    return fixed, lost, censored
-
-
-def constant_coefficients_vec(d):
-    """Vectorized drift/diffusion of the constant-environment diffusion."""
-    phi2 = drift_factor_fn(d)
-    big_b = d.mean_time
-
-    def drift_vec(x):
-        return 0.5 * x * (1.0 - x) * phi2(x)
-
-    def diff_vec(x):
-        return np.sqrt(np.maximum(x * (1.0 - x), 0.0)) / (big_b * (1.0 - x) + 1.0)
-
-    return drift_vec, diff_vec
+        y = y[~(hit_lost | hit_fixed)]
+    return fixed, lost, y.size
 
 
 def scale_fixation(drift_fn, diff_fn, start):

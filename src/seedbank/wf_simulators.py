@@ -83,21 +83,22 @@ def step_constant(x, d, n_pop, rng):
     ``x`` is an integer array of shape (K+1,) or (R, K+1); returns the same
     shape.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.int64))
-    new = _generation(x, d.array, n_pop, n_pop, 1.0, np.ones(d.k), rng)
-    return new if new.shape[0] > 1 else new[0]
+    x = np.asarray(x, dtype=np.int64)
+    new = _generation(np.atleast_2d(x), d.array, n_pop, n_pop, 1.0, np.ones(d.k), rng)
+    return new.reshape(x.shape)
 
 
 def step_slow(x, xi_now, xi_next, d, n_pop, rng):
     """One generation of the slowly varying population-size chain.
 
     ``xi_now``/``xi_next`` are the environment values at generations t and
-    t+1; the mature population sizes are floor(xi * N).
+    t+1; the mature population sizes are floor(xi * N).  Returns the shape of
+    ``x``, as ``step_constant`` does.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.int64))
-    new = _generation(x, d.array, _mature_size(xi_now, n_pop),
+    x = np.asarray(x, dtype=np.int64)
+    new = _generation(np.atleast_2d(x), d.array, _mature_size(xi_now, n_pop),
                       _mature_size(xi_next, n_pop), 1.0, np.ones(d.k), rng)
-    return new if new.shape[0] > 1 else new[0]
+    return new.reshape(x.shape)
 
 
 def step_fast(x, marks, new_mark, d, n_pop, fenv, rng):
@@ -105,16 +106,17 @@ def step_fast(x, marks, new_mark, d, n_pop, fenv, rng):
 
     ``marks`` holds the last K environment marks (shape (R, K) or (K,)),
     ``new_mark`` the freshly drawn mark of generation t+1.  Returns
-    (new_x, new_marks).
+    (new_x, new_marks), shaped (K+1,), (K,) when ``x`` is one state of shape
+    (K+1,) and (R, K+1), (R, K) when it has shape (R, K+1).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.int64))
+    x = np.asarray(x, dtype=np.int64)
     marks2 = np.atleast_2d(np.asarray(marks))
     new_mark = np.atleast_1d(np.asarray(new_mark))
     s_n = fenv.s_of_N(n_pop)
-    new = _generation(x, d.array, n_pop, n_pop, 1.0 + s_n * new_mark,
+    new = _generation(np.atleast_2d(x), d.array, n_pop, n_pop, 1.0 + s_n * new_mark,
                       1.0 + s_n * marks2.astype(float), rng)
     new_marks = _age(marks2, new_mark)
-    if np.ndim(marks) == 1:
+    if x.ndim == 1:
         return new[0], new_marks[0]
     return new, new_marks
 

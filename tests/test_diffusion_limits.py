@@ -25,8 +25,8 @@ from seedbank.diffusion_limits import (
     _pde_operator_rows,
     constant_coefficients_vec,
     drift_factor_fn,
+    fast_coefficients_vec,
     logistic_xi,
-    vectorized_coefficients,
 )
 from seedbank.errors import (
     DegenerateDiffusion,
@@ -138,6 +138,37 @@ def test_sde_fast_env():
         sde_fast_env(validate_distribution([0.5, 0.3, 0.2]), FastEnvSpec(p=0.25, s=1.0))
 
 
+@pytest.mark.parametrize(
+    "b, fenv",
+    [
+        ([0.5, 0.5], None),
+        ([0.5, 0.3, 0.2], None),
+        ([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], None),
+        ([0.5, 0.5], FastEnvSpec(p=0.25, s=1.0)),
+        ([0.7, 0.3], FastEnvSpec(p=0.1, s=2.0)),
+    ],
+    ids=["constant-K1", "constant-K2", "constant-K5", "fast-p0.25-s1", "fast-p0.1-s2"],
+)
+def test_coefficient_pair_matches_spec(b, fenv):
+    d = validate_distribution(b)
+    if fenv is None:
+        spec, (drift_vec, diff_vec) = sde_constant(d), constant_coefficients_vec(d)
+    else:
+        spec, (drift_vec, diff_vec) = sde_fast_env(d, fenv), fast_coefficients_vec(d, fenv)
+    xs = np.linspace(0.0, 1.0, 41)
+    for x in xs:
+        assert spec.drift(np.array([x]))[0] == drift_vec(x)
+        assert spec.diffusion(np.array([x]))[0, 0] == diff_vec(x)
+    # array input: one value per state, each within an ulp of the scalar one
+    drift_arr, diff_arr = drift_vec(xs), diff_vec(xs)
+    assert drift_arr.shape == diff_arr.shape == xs.shape
+    np.testing.assert_allclose(drift_arr, [drift_vec(x) for x in xs], rtol=1e-15, atol=1e-17)
+    np.testing.assert_array_equal(diff_arr, [diff_vec(x) for x in xs])
+    assert diff_arr[0] == diff_arr[-1] == 0.0
+    # x (1 - x) < 0 just outside [0, 1] is clamped, not a NaN
+    np.testing.assert_array_equal(diff_vec(np.array([-0.1, 1.1])), 0.0)
+
+
 def test_integrate_sde_constant_path():
     spec = SdeSpec(
         dim=1,
@@ -201,10 +232,7 @@ def test_scale_closed_form_quadrature():
 def test_fixation_below_cap_k2():
     d = validate_distribution([0.5, 0.3, 0.2])
     start = psi(d.mean_time, 0.01)
-    spec = sde_constant(d)
-    drift_vec, diff_vec = vectorized_coefficients(spec)
-    fix = scale_fixation(lambda x: drift_vec(np.array([x]))[0],
-                         lambda x: diff_vec(np.array([x]))[0], start)
+    fix = scale_fixation(*constant_coefficients_vec(d), start)
     assert fix <= psi_cap(d.mean_time, 0.01)
 
 
@@ -236,6 +264,18 @@ def test_monte_carlo_matches_scale_function():
         start,
     )
     assert abs(p_hat - want) < 3 * se + 0.004
+
+
+@pytest.mark.parametrize("max_time, counts", [(1.0, (11, 95, 294)), (20.0, (144, 256, 0))],
+                         ids=["censored", "all-absorbed"])
+def test_sample_absorption_pinned_counts(max_time, counts):
+    # (fixed, lost, censored) captured from the implementation that kept every
+    # replicate in place behind an activity mask; dropping absorbed rows in
+    # order must leave the draws, and so the counts, unchanged
+    drift_vec, diff_vec = constant_coefficients_vec(validate_distribution([0.5, 0.5]))
+    got = sample_absorption(drift_vec, diff_vec, 0.3, dt=5e-3, seed=1, replicates=400,
+                            max_time=max_time)
+    assert got == counts
 
 
 def test_neutral_martingale_monte_carlo():

@@ -136,6 +136,18 @@ def test_step_fast_single_state_shapes():
     assert new_marks[0] == 0
 
 
+def test_steps_keep_one_row_shape():
+    d = validate_distribution([0.7, 0.3])
+    fenv = FastEnvSpec(p=0.2, s=0.5)
+    rng = np.random.default_rng(5)
+    x = np.array([[30, 40]], dtype=np.int64)
+    assert step_constant(x, d, 100, rng).shape == (1, 2)
+    assert step_slow(x, 0.9, 1.0, d, 100, rng).shape == (1, 2)
+    new, new_marks = step_fast(x, np.array([[1]]), np.array([-1]), d, 100, fenv, rng)
+    assert new.shape == (1, 2) and new_marks.shape == (1, 1)
+    assert new_marks[0, 0] == -1
+
+
 def test_make_env_process_validation():
     make_env_process("deterministic_logistic", 0.5, 2.0, 100, r=1.0, xi_inf=1.5)
     with pytest.raises(ValidationError):
