@@ -10,16 +10,19 @@ backward Kolmogorov solver for the non-autonomous logistic-environment
 fixation probability.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebval
 from scipy.linalg import solve_banded
 
 from .branching_phase import psi
 from .errors import (
     DegenerateDiffusion,
     NoConvergence,
+    NumericalError,
     StepSizeInvalid,
     UnsupportedK,
     ValidationError,
@@ -265,31 +268,103 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     return fixed, lost, y.size
 
 
+# Chebyshev degrees tried by scale_fixation, and the relative size below which
+# a series' tail counts as resolved
+_CHEB_DEGREES = (32, 64, 128, 256, 512, 1024)
+_CHOP_TOL = 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _cheb_basis(n):
+    """The n first-kind Chebyshev nodes mapped to [0, 1], and the n x n matrix
+    cos(j theta_k) of T_j at them (read-only: cached for every caller)."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    nodes = 0.5 * (np.cos(theta) + 1.0)
+    cos_jk = np.cos(np.outer(np.arange(n), theta))
+    nodes.setflags(write=False)
+    cos_jk.setflags(write=False)
+    return nodes, cos_jk
+
+
+def _cheb_coeffs(cos_jk, values):
+    """Chebyshev coefficients of the degree n - 1 interpolant of values at the
+    first-kind nodes (one cosine transform)."""
+    c = cos_jk @ values * (2.0 / values.size)
+    c[0] *= 0.5
+    return c
+
+
+def _resolved(c):
+    """Chopping test: the last max(4, n/8) coefficients are negligible."""
+    tail = max(4, c.size // 8)
+    return np.max(np.abs(c[-tail:])) <= _CHOP_TOL * np.max(np.abs(c))
+
+
+def _on_nodes(fn, x):
+    """fn on the node array x, or node by node when fn takes only scalars."""
+    try:
+        out = np.asarray(fn(x), dtype=float)
+    except (TypeError, ValueError):  # math.sqrt, or `if x < ...` on an array
+        out = None
+    if out is None or out.shape != x.shape:
+        # a genuine error in fn is raised again here, on a scalar
+        out = np.array([fn(v) for v in x.tolist()], dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("coefficient is not finite at a Chebyshev node")
+    return out
+
+
 def scale_fixation(drift_fn, diff_fn, start):
     """P(hit 1 before 0) for an autonomous 1-D diffusion on [0, 1].
 
-    Integrates the joint ODE dI/dw = 2 mu / sigma^2, dS/dw = exp(-I) from 0,
-    then returns S(start)/S(1).
+    Chebyshev spectral scale function: with f = 2 mu / sigma^2,
+    I(x) = int_0^x f and S(x) = int_0^x exp(-I); returns S(start)/S(1).
+    mu and sigma are evaluated once per degree, on the array of n first-kind
+    Chebyshev nodes (interior points, so the 0/0 at the ends never arises);
+    f and exp(-I) are interpolated there and integrated term by term.  n
+    doubles from 32 to 1024 until the tail of both series is negligible
+    (a simple form of the chopping rule of Aurentz & Trefethen, ACM TOMS
+    43(4), 2017).
+
+    The coefficients must be smooth on [0, 1] (every pair in this package is
+    analytic there); otherwise the series never resolves and ``NoConvergence``
+    is raised.  ``drift_fn`` and ``diff_fn`` may take arrays or scalars only.
+    ``start`` is a scalar (a float is returned) or an array, in [0, 1].
+    Raises ``DegenerateDiffusion`` if sigma vanishes at a node and
+    ``NumericalError`` on a non-finite coefficient or exp(-I).
     """
-    from scipy.integrate import solve_ivp  # deferred: slow to import
-
-    def rhs(w, y):
-        z = min(max(w, 1e-12), 1.0 - 1e-12)
-        sig = diff_fn(z)
-        s2 = sig * sig
-        if not s2 > 0:
+    start = np.asarray(start, dtype=float)
+    if not np.all((start >= 0.0) & (start <= 1.0)):
+        raise ValidationError("start must lie in [0, 1]")
+    for n in _CHEB_DEGREES:
+        x, cos_jk = _cheb_basis(n)
+        mu = _on_nodes(drift_fn, x)
+        s2 = _on_nodes(diff_fn, x) ** 2
+        if not np.all(s2 > 0):
+            z = x[np.argmin(s2)]
             raise DegenerateDiffusion(f"diffusion vanishes at interior point {z}")
-        return [2.0 * drift_fn(z) / s2, math.exp(-y[0])]
-
-    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0], method="RK45",
-                    rtol=1e-11, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise NoConvergence(f"scale-function integration failed: {sol.message}")
-    s_start = sol.sol(float(start))[1]
-    s_one = sol.y[1, -1]
+        c_f = _cheb_coeffs(cos_jk, 2.0 * mu / s2)
+        # x = (t + 1)/2 maps [-1, 1] to [0, 1], so dx = dt/2; T_n vanishes at
+        # the nodes, so the first n coefficients of I give its node values
+        c_i = 0.5 * chebint(c_f, lbnd=-1)
+        with np.errstate(over="ignore"):
+            g = np.exp(-(cos_jk.T @ c_i[:n]))
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("exp(-I) is not finite: the drift is too strong "
+                                 "for the scale function to be represented")
+        c_g = _cheb_coeffs(cos_jk, g)
+        if _resolved(c_f) and _resolved(c_g):
+            break
+    else:
+        raise NoConvergence(f"Chebyshev series of the scale density not resolved at "
+                            f"degree {n}: the coefficients are not smooth on [0, 1]")
+    c_s = 0.5 * chebint(c_g, lbnd=-1)
+    s_one = c_s.sum()  # T_j(1) = 1
     if not s_one > 0:
         raise DegenerateDiffusion("scale function is degenerate on [0, 1]")
-    return float(s_start / s_one)
+    # S is increasing; rounding (about 1e-16 S(1)) must not leave [0, 1]
+    out = np.clip(chebval(2.0 * start - 1.0, c_s) / s_one, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def scale_closed_form(big_b, v):

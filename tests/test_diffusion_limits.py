@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from seedbank import (
     FastEnvSpec,
@@ -30,6 +31,8 @@ from seedbank.diffusion_limits import (
 )
 from seedbank.errors import (
     DegenerateDiffusion,
+    NoConvergence,
+    NumericalError,
     StepSizeInvalid,
     UnsupportedK,
     ValidationError,
@@ -234,6 +237,98 @@ def test_fixation_below_cap_k2():
     start = psi(d.mean_time, 0.01)
     fix = scale_fixation(*constant_coefficients_vec(d), start)
     assert fix <= psi_cap(d.mean_time, 0.01)
+
+
+def rk45_scale_fixation(drift_fn, diff_fn, start):
+    """Reference scale-function solve: integrates the joint ODE
+    dI/dw = 2 mu / sigma^2, dS/dw = exp(-I) from 0 with RK45, then returns
+    S(start)/S(1)."""
+
+    def rhs(w, y):
+        z = min(max(w, 1e-12), 1.0 - 1e-12)
+        sig = diff_fn(z)
+        s2 = sig * sig
+        if not s2 > 0:
+            raise DegenerateDiffusion(f"diffusion vanishes at interior point {z}")
+        return [2.0 * drift_fn(z) / s2, math.exp(-y[0])]
+
+    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0], method="RK45",
+                    rtol=1e-11, atol=1e-13, dense_output=True)
+    if not sol.success:
+        raise NoConvergence(f"scale-function integration failed: {sol.message}")
+    s_start = sol.sol(float(start))[1]
+    s_one = sol.y[1, -1]
+    if not s_one > 0:
+        raise DegenerateDiffusion("scale function is degenerate on [0, 1]")
+    return float(s_start / s_one)
+
+
+def bank_with_b0(rng, k, b0):
+    """Germination distribution with the given b0 and a random dormant split."""
+    return validate_distribution(np.concatenate([[b0], (1.0 - b0) * rng.dirichlet(np.ones(k))]))
+
+
+def assert_matches_rk45(pair, big_b):
+    for start in (psi(big_b, 0.01), 0.2, 0.9):
+        got = scale_fixation(*pair, start)
+        want = rk45_scale_fixation(*pair, start)
+        assert abs(got - want) < 1e-9, (start, got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_scale_fixation_matches_rk45_constant(k):
+    rng = np.random.default_rng(40 + k)
+    for b0 in (rng.uniform(0.04, 0.06), rng.uniform(0.88, 0.92)):
+        d = bank_with_b0(rng, k, b0)
+        assert_matches_rk45(constant_coefficients_vec(d), d.mean_time)
+
+
+@pytest.mark.parametrize("p, s", [(0.25, 1.0), (0.1, 2.0)])
+def test_scale_fixation_matches_rk45_fast(p, s):
+    for b0 in (0.05, 0.5, 0.9):
+        d = validate_distribution([b0, 1.0 - b0])
+        assert_matches_rk45(fast_coefficients_vec(d, FastEnvSpec(p=p, s=s)), d.mean_time)
+
+
+@pytest.mark.parametrize("start", [-0.2, 1.5, math.nan, math.inf,
+                                   np.array([0.2, 1.2]), np.array([0.2, math.nan])])
+def test_scale_fixation_rejects_start_outside_unit_interval(start):
+    pair = constant_coefficients_vec(validate_distribution([0.5, 0.5]))
+    with pytest.raises(ValidationError):
+        scale_fixation(*pair, start)
+
+
+def test_scale_fixation_failures_are_typed():
+    diff_vec = constant_coefficients_vec(validate_distribution([0.5, 0.5]))[1]
+    # a kink at 1/2: the Chebyshev series never resolves
+    with pytest.raises(NoConvergence):
+        scale_fixation(lambda x: 50.0 * np.abs(x - 0.5) * x * (1.0 - x), diff_vec, 0.3)
+    # infinite drift at one node
+    with pytest.raises(NumericalError):
+        scale_fixation(lambda x: np.where(x == x.max(), np.inf, 0.0), diff_vec, 0.3)
+    with pytest.raises(NumericalError):
+        scale_fixation(lambda x: 0.0, lambda x: math.nan, 0.3)
+
+
+def test_scale_fixation_array_start_and_scalar_callables():
+    d = validate_distribution([0.5, 0.3, 0.2])
+    pair = constant_coefficients_vec(d)
+    starts = [0.0, psi(d.mean_time, 0.01), 0.2, 0.5, 0.9, 1.0]
+    got = scale_fixation(*pair, np.array(starts))
+    scalar = [scale_fixation(*pair, v) for v in starts]
+    assert all(type(v) is float for v in scalar)
+    assert got.shape == (len(starts),)
+    assert np.array_equal(got, scalar)
+    assert scalar[0] == 0.0 and scalar[-1] == 1.0
+    # callables that take only scalars, by raising TypeError (math.sqrt) or
+    # ValueError (a comparison), or by ignoring the shape, are evaluated node
+    # by node with the same result
+    drift_vec, diff_vec = pair
+    assert scale_fixation(
+        lambda x: float(drift_vec(x)) if x <= 1.0 else math.nan,
+        lambda x: math.sqrt(x * (1.0 - x)) / (d.mean_time * (1.0 - x) + 1.0),
+        0.2,
+    ) == pytest.approx(scalar[2], abs=1e-14)
 
 
 def test_psi_cap_properties():
