@@ -131,11 +131,11 @@ def cmd_fixation_vs_b0(args):
     lines = _csv_header("fixation-vs-b0", params, args.seed)
     lines.append("xi_inf,b0,fixation")
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
+    ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
+    starts = [psi(d.mean_time, args.y) for d in ds]
     for xi_inf in xi_infs:
-        for b0 in b0s:
-            d = validate_distribution([b0, 1.0 - b0])
-            start = psi(d.mean_time, args.y)
-            fix = kolmogorov_fixation(d, {"r": args.r, "xi_inf": xi_inf}, start)
+        fixes = kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
+        for b0, fix in zip(b0s, fixes):
             lines.append(f"{_fmt(float(xi_inf))},{_fmt(float(b0))},{_fmt(fix)}")
     _emit(args.out, lines)
 

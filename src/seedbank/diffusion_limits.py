@@ -15,14 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebval
-from scipy.linalg import solve_banded
+from numpy.polynomial.chebyshev import chebval
+from scipy.linalg.lapack import dgtsv
 
 from .branching_phase import psi
+from .core_model import GerminationDistribution
 from .errors import (
     DegenerateDiffusion,
     NoConvergence,
     NumericalError,
+    SingularSystem,
     StepSizeInvalid,
     UnsupportedK,
     ValidationError,
@@ -294,6 +296,30 @@ def _cheb_coeffs(cos_jk, values):
     return c
 
 
+def _cheb_integral(c):
+    """numpy's ``chebint(c, lbnd=-1)``, bit for bit, for n >= 3 coefficients,
+    without its Python loop over them.
+
+    The antiderivative's coefficients are c[0] - c[2]/2 at degree 1 and
+    c[k-1]/(2k) - c[k+1]/(2k) above (c[n] = c[n+1] = 0), each rounded as
+    chebint rounds it; the constant term makes the integral vanish at -1 and
+    is evaluated by chebval's Clenshaw recurrence at x = -1, on Python floats.
+    """
+    n = c.size
+    two_k = 2 * np.arange(2, n + 1)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    out[1] = c[0] - c[2] / 2
+    out[2:] = c[1:] / two_k
+    out[2:n - 1] -= c[3:] / two_k[:-2]
+    coeffs = out.tolist()
+    b0, b1 = coeffs[-2], coeffs[-1]
+    for v in reversed(coeffs[:-2]):
+        b0, b1 = v - b1, b0 + b1 * -2
+    out[0] = 0.0 - (b0 - b1)
+    return out
+
+
 def _resolved(c):
     """Chopping test: the last max(4, n/8) coefficients are negligible."""
     tail = max(4, c.size // 8)
@@ -346,7 +372,7 @@ def scale_fixation(drift_fn, diff_fn, start):
         c_f = _cheb_coeffs(cos_jk, 2.0 * mu / s2)
         # x = (t + 1)/2 maps [-1, 1] to [0, 1], so dx = dt/2; T_n vanishes at
         # the nodes, so the first n coefficients of I give its node values
-        c_i = 0.5 * chebint(c_f, lbnd=-1)
+        c_i = 0.5 * _cheb_integral(c_f)
         with np.errstate(over="ignore"):
             g = np.exp(-(cos_jk.T @ c_i[:n]))
         if not np.all(np.isfinite(g)):
@@ -358,7 +384,7 @@ def scale_fixation(drift_fn, diff_fn, start):
     else:
         raise NoConvergence(f"Chebyshev series of the scale density not resolved at "
                             f"degree {n}: the coefficients are not smooth on [0, 1]")
-    c_s = 0.5 * chebint(c_g, lbnd=-1)
+    c_s = 0.5 * _cheb_integral(c_g)
     s_one = c_s.sum()  # T_j(1) = 1
     if not s_one > 0:
         raise DegenerateDiffusion("scale function is degenerate on [0, 1]")
@@ -422,20 +448,14 @@ def _pde_operator_rows(mu, half_sig2, h):
         peclet = np.where(half_sig2 > 0, np.abs(mu) * h / half_sig2, np.inf)
     upwind = peclet > 2.0
     forward = mu > 0
-    sub = np.where(upwind, np.where(forward, a, a - mu / h), a - mu / (2.0 * h))
-    diag = np.where(upwind, np.where(forward, -2.0 * a - mu / h, -2.0 * a + mu / h),
-                    -2.0 * a)
-    sup = np.where(upwind, np.where(forward, a + mu / h, a), a + mu / (2.0 * h))
+    mu_h = mu / h
+    mu_2h = mu / (2.0 * h)
+    diffusive = -2.0 * a
+    sub = np.where(upwind, np.where(forward, a, a - mu_h), a - mu_2h)
+    diag = np.where(upwind, np.where(forward, diffusive - mu_h, diffusive + mu_h),
+                    diffusive)
+    sup = np.where(upwind, np.where(forward, a + mu_h, a), a + mu_2h)
     return sub, diag, sup
-
-
-def _solve_tridiag(sub, diag, sup, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
 
 
 def logistic_xi(r, xi_inf, t):
@@ -443,6 +463,66 @@ def logistic_xi(r, xi_inf, t):
     t = np.asarray(t, dtype=float)
     out = xi_inf / (1.0 + (xi_inf - 1.0) * np.exp(-r * xi_inf * t))
     return out.item() if out.ndim == 0 else out
+
+
+def _solve_tridiag_blocks(sub, diag, sup, rhs):
+    """Solve one tridiagonal system per row of the (m, L) arrays.
+
+    The m systems are stacked end to end into one block-diagonal system of
+    size m L and solved by a single LAPACK ``dgtsv`` call.  The coupling
+    entries between blocks are zero, and a zero coupling contributes exact
+    zeros to the elimination, so each block's solution is bit for bit the
+    one a separate solve would give.  ``sub[:, 0]`` and ``sup[:, -1]`` are
+    ignored.
+    """
+    size = diag.shape[1]
+    dl = sub.ravel()[1:].copy()
+    du = sup.ravel()[:-1].copy()
+    dl[size - 1::size] = 0.0
+    du[size - 1::size] = 0.0
+    _, _, _, x, info = dgtsv(dl, diag.ravel(), du, rhs.ravel(),
+                             overwrite_dl=1, overwrite_du=1)
+    if info > 0:
+        raise SingularSystem(f"Crank-Nicolson system is singular (zero pivot at "
+                             f"row {info})")
+    if not np.all(np.isfinite(x)):
+        raise NoConvergence("backward PDE produced non-finite values")
+    return x.reshape(diag.shape)
+
+
+# the environment counts as settled once |xi - xi_inf| <= _SETTLE_TOL; a
+# settle time beyond _SETTLE_BUDGET raises NoConvergence
+_SETTLE_TOL = 1e-8
+_SETTLE_BUDGET = 1e4
+
+
+def _settle_steps(r, xi_inf, dt):
+    """The smallest k >= 1 with |xi(k dt) - xi_inf| <= 1e-8 (0 when xi_inf is
+    1 to within 1e-12).
+
+    Inverts the logistic, |xi(t) - xi_inf| = xi_inf |c| e / (1 + c e) with
+    c = xi_inf - 1 and e = exp(-r xi_inf t), for the settle time, then steps
+    k to the smallest multiple of dt that passes the test itself.
+    """
+    c = xi_inf - 1.0
+    if abs(c) < 1e-12:
+        return 0
+    # settled for t >= log_ratio / (r xi_inf)
+    log_ratio = math.log(abs(c) * (xi_inf - math.copysign(_SETTLE_TOL, c)) / _SETTLE_TOL)
+    if log_ratio > _SETTLE_BUDGET * r * xi_inf:
+        raise NoConvergence("environment never settled within the budget")
+
+    def settled(k):
+        return abs(logistic_xi(r, xi_inf, k * dt) - xi_inf) <= _SETTLE_TOL
+
+    k = max(1, math.ceil(log_ratio / (r * xi_inf) / dt))
+    while not settled(k):
+        k += 1
+    while k > 1 and settled(k - 1):
+        k -= 1
+    if k * dt > _SETTLE_BUDGET:
+        raise NoConvergence("environment never settled within the budget")
+    return k
 
 
 def kolmogorov_fixation(d, logistic, start_rho, grid=None):
@@ -454,72 +534,77 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     u(t, 1) = 1, closing at the time the environment has settled
     (|xi - xi_inf| <= 1e-8) with the autonomous stationary profile, and
     returns u(0, start_rho).
+
+    ``d`` is one distribution, with a scalar ``start_rho`` (a float is
+    returned), or a sequence of distributions with an array of one start per
+    distribution (an array is returned).  The settle time, dt and the grid
+    depend only on the logistic, so a batch marches in lock-step: each
+    Crank-Nicolson step builds the operator rows of every distribution at
+    once and solves all their systems in one LAPACK call, and each result is
+    bit for bit that of a call with its distribution alone.
     """
     if grid is None:
         grid = PdeGrid()
     r = float(logistic["r"])
     xi_inf = float(logistic["xi_inf"])
-    if not (r > 0 and xi_inf > 0):
-        raise ValidationError("logistic parameters r and xi_inf must be positive")
-    if not 0.0 < start_rho < 1.0:
+    if not (0.0 < r < math.inf and 0.0 < xi_inf < math.inf):
+        raise ValidationError("logistic parameters r and xi_inf must be positive "
+                              "and finite")
+    single = isinstance(d, GerminationDistribution)
+    ds = [d] if single else list(d)
+    starts = np.asarray(start_rho, dtype=float)
+    if not ds or starts.shape != (() if single else (len(ds),)):
+        raise ValidationError("start_rho needs one start per distribution")
+    if not np.all((starts > 0.0) & (starts < 1.0)):
         raise ValidationError("start_rho must lie in (0, 1)")
+    n_steps = _settle_steps(r, xi_inf, grid.dt)
 
-    big_b = d.mean_time
-    phi2 = drift_factor_fn(d)
+    # (batch, interior node) arrays
+    big_b = np.array([[di.mean_time] for di in ds])
     n = grid.n_space
     h = 1.0 / (n - 1)
     rho = np.linspace(0.0, 1.0, n)
     interior = rho[1:-1]
-    phi2_grid = phi2(interior)
+    phi2_grid = np.array([drift_factor_fn(di)(interior) for di in ds])
     den = big_b * (1.0 - interior) + 1.0
     rho_fac = interior * (1.0 - interior)
+    # the xi-free leading factors of each term, in the order they are rounded
+    # at every step
+    selection = 0.5 * phi2_grid * rho_fac
+    logistic_pull = big_b * rho_fac * r
+    half_var = 0.5 * rho_fac
+    den2 = den**2
 
     def coefficients(xi):
-        mu = (
-            0.5 * phi2_grid * rho_fac / xi
-            - big_b * rho_fac * r * xi * (xi_inf - xi) / (den * xi)
-        )
-        half_sig2 = 0.5 * rho_fac / (den**2 * xi)
-        return mu, half_sig2
-
-    # settle time: smallest multiple of dt with |xi - xi_inf| <= 1e-8
-    if abs(xi_inf - 1.0) < 1e-12:
-        t_switch = 0.0
-    else:
-        t_switch = grid.dt
-        while abs(logistic_xi(r, xi_inf, t_switch) - xi_inf) > 1e-8:
-            t_switch += grid.dt
-            if t_switch > 1e4:
-                raise NoConvergence("environment never settled within the budget")
+        mu = selection / xi - logistic_pull * xi * (xi_inf - xi) / (den * xi)
+        return mu, half_var / (den2 * xi)
 
     # terminal condition: discrete stationary profile of the autonomous
     # operator at xi_inf (exactly stationary under the scheme by construction)
-    mu_inf, half_sig2_inf = coefficients(xi_inf)
-    sub, diag, sup = _pde_operator_rows(mu_inf, half_sig2_inf, h)
-    rhs = np.zeros(n - 2)
-    rhs[-1] = -sup[-1] * 1.0  # Dirichlet u(1) = 1
-    u_interior = _solve_tridiag(sub, diag, sup, rhs)
-    u = np.concatenate([[0.0], u_interior, [1.0]])
+    sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
+    u = np.zeros((len(ds), n))
+    u[:, -1] = 1.0  # Dirichlet u(0) = 0, u(1) = 1
+    rhs = np.zeros_like(diag)
+    rhs[:, -1] = -sup[:, -1]
+    u[:, 1:-1] = _solve_tridiag_blocks(sub, diag, sup, rhs)
 
-    # march backward from t_switch to 0 with Crank-Nicolson
-    n_steps = int(round(t_switch / grid.dt))
-    identity = np.ones(n - 2)
-    for step in range(n_steps):
-        t_new = t_switch - (step + 1) * grid.dt
-        t_mid = t_new + 0.5 * grid.dt
-        mu, half_sig2 = coefficients(logistic_xi(r, xi_inf, t_mid))
-        sub, diag, sup = _pde_operator_rows(mu, half_sig2, h)
-        lam = 0.5 * grid.dt
+    # march backward from the settle time t_switch to 0 with Crank-Nicolson.
+    # t_switch is dt summed n_steps times, rounded at each addition; n_steps * dt
+    # can differ from it in the last bit, which would move every midpoint time
+    # and the last digit of the results
+    t_switch = 0.0
+    for _ in range(n_steps):
+        t_switch += grid.dt
+    lam = 0.5 * grid.dt
+    t_new = t_switch - np.arange(1, n_steps + 1) * grid.dt
+    for xi in logistic_xi(r, xi_inf, t_new + 0.5 * grid.dt):
+        sub, diag, sup = _pde_operator_rows(*coefficients(xi), h)
         # explicit half
-        v = u[1:-1]
-        lv = sub * u[:-2] + diag * v + sup * u[2:]
-        rhs = v + lam * lv
-        # implicit half: (I - lam L) u_new = rhs, boundaries folded in
-        rhs[0] += lam * sub[0] * 0.0
-        rhs[-1] += lam * sup[-1] * 1.0
-        u_new = _solve_tridiag(-lam * sub, identity - lam * diag, -lam * sup, rhs)
-        if not np.all(np.isfinite(u_new)):
-            raise NoConvergence("backward PDE produced non-finite values")
-        u = np.concatenate([[0.0], u_new, [1.0]])
+        v = u[:, 1:-1]
+        rhs = v + lam * (sub * u[:, :-2] + diag * v + sup * u[:, 2:])
+        # implicit half: (I - lam L) u_new = rhs, u(1) = 1 folded in
+        rhs[:, -1] += lam * sup[:, -1]
+        u[:, 1:-1] = _solve_tridiag_blocks(-lam * sub, 1.0 - lam * diag, -lam * sup, rhs)
 
-    return float(np.interp(start_rho, rho, u))
+    out = np.array([np.interp(s, rho, row) for s, row in zip(starts.reshape(-1), u)])
+    return float(out[0]) if single else out

@@ -73,7 +73,8 @@ class SpectrumViolation(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """The constrained Lyapunov system is rank deficient or inconsistent."""
+    """A linear system is singular: the constrained Lyapunov system is rank
+    deficient or inconsistent, or a Crank-Nicolson system has a zero pivot."""
 
 
 class TruncationNotConverged(NumericalError):

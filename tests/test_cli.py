@@ -80,6 +80,9 @@ def test_fixation_vs_b0(tmp_path):
     high = data[data["xi_inf"] == 1.1]
     assert np.all(low["fixation"] >= high["fixation"] - 1e-12)
 
+    rc2, out2 = run(tmp_path, "curves_again.csv", argv)
+    assert rc2 == 0 and out.read_bytes() == out2.read_bytes()
+
 
 def test_g_plot(tmp_path):
     rc, out = run(tmp_path, "g.csv", ["g-plot", "--xi", "0.8", "--B", "0.5",
@@ -149,6 +152,12 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["psi-curve", "--threads", "2"])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+    # a non-finite logistic parameter is bad input, not a numerical failure
+    rc = main(["fixation-vs-b0", "--xi-inf", "0.8", "--r", "inf", "--steps", "1",
+               "--out", str(tmp_path / "inf.csv")])
+    assert rc == 2
     capsys.readouterr()
 
     # a logistic environment that never reaches its limit exhausts the budget

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebint
 from scipy.integrate import solve_ivp
 
 from seedbank import (
@@ -21,9 +22,12 @@ from seedbank import (
     sde_slow_env,
     validate_distribution,
 )
+from seedbank import diffusion_limits
 from seedbank.diffusion_limits import (
     SdeSpec,
+    _cheb_integral,
     _pde_operator_rows,
+    _settle_steps,
     constant_coefficients_vec,
     drift_factor_fn,
     fast_coefficients_vec,
@@ -33,6 +37,7 @@ from seedbank.errors import (
     DegenerateDiffusion,
     NoConvergence,
     NumericalError,
+    SingularSystem,
     StepSizeInvalid,
     UnsupportedK,
     ValidationError,
@@ -331,6 +336,15 @@ def test_scale_fixation_array_start_and_scalar_callables():
     ) == pytest.approx(scalar[2], abs=1e-14)
 
 
+def test_cheb_integral_matches_numpy_chebint():
+    # bit for bit, across degrees and coefficient magnitudes spanning 13 decades
+    rng = np.random.default_rng(29)
+    for n in (3, 4, 5, 32, 97, 256, 1024):
+        for _ in range(20):
+            c = rng.standard_normal(n) * 10.0 ** rng.uniform(-10.0, 3.0, n)
+            np.testing.assert_array_equal(_cheb_integral(c), chebint(c, lbnd=-1))
+
+
 def test_psi_cap_properties():
     ys = np.linspace(0.05, 0.95, 10)
     for y in ys:
@@ -489,3 +503,84 @@ def test_kolmogorov_validation():
         kolmogorov_fixation(d, {"r": -1.0, "xi_inf": 1.0}, 0.1)
     with pytest.raises(ValidationError):
         kolmogorov_fixation(d, {"r": 20.0, "xi_inf": 1.0}, 0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            kolmogorov_fixation(d, {"r": bad, "xi_inf": 0.8}, 0.1)
+        with pytest.raises(ValidationError):
+            kolmogorov_fixation(d, {"r": 20.0, "xi_inf": bad}, 0.1)
+    # every start of a batch is checked, and there is one start per distribution
+    logistic = {"r": 20.0, "xi_inf": 0.8}
+    for starts in ([0.1, 1.0], [0.0, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValidationError):
+            kolmogorov_fixation([d, d], logistic, starts)
+    for ds, starts in (([d, d], [0.1]), ([d, d], [0.1, 0.2, 0.3]), ([d], 0.1),
+                       (d, [0.1]), ([], [])):
+        with pytest.raises(ValidationError):
+            kolmogorov_fixation(ds, logistic, starts)
+
+
+def loop_settle_steps(r, xi_inf, dt):
+    """The settle-time search as a loop over multiples of dt (the reference)."""
+    if abs(xi_inf - 1.0) < 1e-12:
+        return 0
+    t_switch = dt
+    while abs(logistic_xi(r, xi_inf, t_switch) - xi_inf) > 1e-8:
+        t_switch += dt
+        if t_switch > 1e4:
+            raise NoConvergence("environment never settled within the budget")
+    return int(round(t_switch / dt))
+
+
+@pytest.mark.parametrize("dt", [0.005, 0.01, 0.0037])
+def test_settle_steps_match_loop(dt):
+    for r in (1.0, 5.0, 20.0, 137.0):
+        for xi_inf in (0.05, 0.3, 0.8, 1.0 - 1e-6, 1.0 - 2e-8, 1.0 - 5e-9, 1.0 - 1e-13,
+                       1.0, 1.0 + 3e-9, 1.0 + 4e-7, 1.0 + 1e-6, 1.2, 2.5, 40.0):
+            assert _settle_steps(r, xi_inf, dt) == loop_settle_steps(r, xi_inf, dt), \
+                (r, xi_inf, dt)
+
+
+def test_settle_budget_raises():
+    # beyond the budget the closed form raises without stepping through it
+    for r in (1e-3, 1e-9, 5e-324):
+        for dt in (0.005, 0.01):
+            with pytest.raises(NoConvergence):
+                _settle_steps(r, 0.5, dt)
+
+
+def test_kolmogorov_batch_matches_scalar_calls():
+    rng = np.random.default_rng(47)
+    ds = [validate_distribution([0.3, 0.7]), random_simplex(rng, 2), random_simplex(rng, 5),
+          validate_distribution([0.8, 0.2]), validate_distribution([1.0, 0.0])]
+    starts = np.array([0.02, 0.3, 0.15, 0.6, 0.01])
+    for xi_inf in (0.8, 1.0, 1.2):
+        logistic = {"r": 20.0, "xi_inf": xi_inf}
+        single = [kolmogorov_fixation(d, logistic, s) for d, s in zip(ds, starts)]
+        assert all(type(v) is float for v in single)
+        batch = kolmogorov_fixation(ds, logistic, starts)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
+        np.testing.assert_array_equal(batch, single)
+        np.testing.assert_array_equal(
+            kolmogorov_fixation(ds[::-1], logistic, starts[::-1]), batch[::-1])
+
+
+@pytest.mark.parametrize("b0, xi_inf, want", [
+    (0.1, 0.8, 0.0024346504283867397),
+    (0.5, 1.2, 0.003868194782364907),
+    (0.7, 0.8, 0.006023679489550169),
+])
+def test_kolmogorov_pinned_values(b0, xi_inf, want):
+    # fixation-vs-b0 rows at --r 20 --y 0.01, exact: the CSV bytes depend on
+    # every rounding of the march, including that of its start time
+    d = validate_distribution([b0, 1.0 - b0])
+    assert kolmogorov_fixation(d, {"r": 20.0, "xi_inf": xi_inf}, psi(d.mean_time, 0.01)) == want
+
+
+def test_kolmogorov_singular_system_is_typed(monkeypatch):
+    def zero_rows(mu, half_sig2, h):
+        return np.zeros_like(mu), np.zeros_like(mu), np.zeros_like(mu)
+
+    monkeypatch.setattr(diffusion_limits, "_pde_operator_rows", zero_rows)
+    d = validate_distribution([0.5, 0.5])
+    with pytest.raises(SingularSystem):
+        kolmogorov_fixation([d, d], {"r": 20.0, "xi_inf": 0.8}, [0.1, 0.2])
