@@ -9,8 +9,11 @@ weights of the environment marks), so degenerate parameter choices are
 bit-identical to the constant regime under the same seed.
 
 A Monte Carlo block holds only the replicates still running, each with its own
-environment register (xi in the slow regime, the last K marks in the fast
-regime); absorbed rows are dropped after each generation, order kept.
+environment register (xi in the slow regime, the weights of the fresh and the
+last K marks in the fast regime).  Its counts are one float64 (R, K+1) array,
+exact because counts stay far below 2**53, aged in place every generation; the
+binomial draw is the only integer array.  Rows are dropped, order kept, only on
+a generation that absorbed some of them.
 
 Monte Carlo fixation runs use counter-based RNG streams (Philox keyed by
 master seed, replicate block, and channel), so results are independent of
@@ -20,6 +23,7 @@ genetic channel.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,37 +43,39 @@ def _block_rng(master_seed, block_index, channel):
 def _transition_probs(x, b, wild, w0, w):
     """Success probability of the next-generation binomial draw.
 
-    ``x`` has shape (R, K+1); ``wild`` is the count of mature wild-type
-    individuals; ``w0`` is the environment weight of generation-t seeds and
-    ``w`` (shape (R, K) or (K,)) the weights of the dormant generations.  All
-    regimes go through this one expression so that degenerate parameters give
-    bit-identical probabilities.
+    ``x`` holds float counts of shape (R, K+1); ``wild`` is the count of
+    mature wild-type individuals; ``w0`` is the environment weight of
+    generation-t seeds and ``w`` the weights of the dormant generations,
+    shape (K,) when every row shares them and (R, K) when each row has its
+    own.  All regimes go through this one expression so that degenerate
+    parameters give bit-identical probabilities.
     """
-    w2 = np.broadcast_to(np.asarray(w, dtype=float), (x.shape[0], b.size - 1))
-    dormant = np.einsum("rk,rk->r", b[1:] * w2, x[:, 1:])
+    bw = b[1:] * w
+    dormant = np.einsum("rk,k->r" if bw.ndim == 1 else "rk,rk->r", x[:, 1:], bw)
     num = b[0] * w0 * x[:, 0] + dormant
     den = (wild + b[0] * x[:, 0]) * w0 + dormant
     return num / den
 
 
 def _age(register, fresh):
-    """Shift a (R, K+1) or (R, K) register by one generation, ``fresh`` in front."""
-    new = np.empty_like(register)
-    new[:, 0] = fresh
-    new[:, 1:] = register[:, :-1]
-    return new
+    """Shift a (R, K+1) or (R, K) register one generation in place, ``fresh``
+    in front."""
+    register[:, 1:] = register[:, :-1]
+    register[:, 0] = fresh
 
 
 def _generation(x, b, trials_now, trials_next, w0, w, rng):
-    """One generation of every row of ``x`` (shape (R, K+1), integer counts).
+    """One generation of every row of ``x`` (float counts, shape (R, K+1)),
+    in place; returns the integer draws of new mature mutants.
 
     ``trials_now``/``trials_next`` are the mature population sizes of
     generations t and t+1 (scalars or shape (R,)); ``w0``/``w`` are the
     environment weights passed to ``_transition_probs``.
     """
-    probs = _transition_probs(x.astype(float), b, (trials_now - x[:, 0]).astype(float),
-                              w0, w)
-    return _age(x, rng.binomial(trials_next, probs))
+    new = rng.binomial(trials_next,
+                       _transition_probs(x, b, trials_now - x[:, 0], w0, w))
+    _age(x, new)
+    return new
 
 
 def _mature_size(xi, n_pop):
@@ -77,15 +83,20 @@ def _mature_size(xi, n_pop):
     return np.floor(np.asarray(xi, dtype=float) * n_pop).astype(np.int64)
 
 
+def _float_rows(x):
+    """Integer state(s) ``x`` as a fresh float array of shape (R, K+1)."""
+    return np.atleast_2d(np.asarray(x, dtype=np.int64)).astype(float)
+
+
 def step_constant(x, d, n_pop, rng):
     """One generation of the constant-environment chain.
 
-    ``x`` is an integer array of shape (K+1,) or (R, K+1); returns the same
-    shape.
+    ``x`` is an integer array of shape (K+1,) or (R, K+1); returns an int64
+    array of the same shape.
     """
-    x = np.asarray(x, dtype=np.int64)
-    new = _generation(np.atleast_2d(x), d.array, n_pop, n_pop, 1.0, np.ones(d.k), rng)
-    return new.reshape(x.shape)
+    state = _float_rows(x)
+    _generation(state, d.array, n_pop, n_pop, 1.0, np.ones(d.k), rng)
+    return state.astype(np.int64).reshape(np.shape(x))
 
 
 def step_slow(x, xi_now, xi_next, d, n_pop, rng):
@@ -95,28 +106,29 @@ def step_slow(x, xi_now, xi_next, d, n_pop, rng):
     t+1; the mature population sizes are floor(xi * N).  Returns the shape of
     ``x``, as ``step_constant`` does.
     """
-    x = np.asarray(x, dtype=np.int64)
-    new = _generation(np.atleast_2d(x), d.array, _mature_size(xi_now, n_pop),
-                      _mature_size(xi_next, n_pop), 1.0, np.ones(d.k), rng)
-    return new.reshape(x.shape)
+    state = _float_rows(x)
+    _generation(state, d.array, _mature_size(xi_now, n_pop),
+                _mature_size(xi_next, n_pop), 1.0, np.ones(d.k), rng)
+    return state.astype(np.int64).reshape(np.shape(x))
 
 
 def step_fast(x, marks, new_mark, d, n_pop, fenv, rng):
     """One generation of the fast-environment chain.
 
     ``marks`` holds the last K environment marks (shape (R, K) or (K,)),
-    ``new_mark`` the freshly drawn mark of generation t+1.  Returns
+    ``new_mark`` the freshly drawn mark of generation t+1.  Returns int64
     (new_x, new_marks), shaped (K+1,), (K,) when ``x`` is one state of shape
     (K+1,) and (R, K+1), (R, K) when it has shape (R, K+1).
     """
-    x = np.asarray(x, dtype=np.int64)
-    marks2 = np.atleast_2d(np.asarray(marks))
+    state = _float_rows(x)
+    marks2 = _float_rows(marks)
     new_mark = np.atleast_1d(np.asarray(new_mark))
     s_n = fenv.s_of_N(n_pop)
-    new = _generation(np.atleast_2d(x), d.array, n_pop, n_pop, 1.0 + s_n * new_mark,
-                      1.0 + s_n * marks2.astype(float), rng)
-    new_marks = _age(marks2, new_mark)
-    if x.ndim == 1:
+    _generation(state, d.array, n_pop, n_pop, 1.0 + s_n * new_mark,
+                1.0 + s_n * marks2, rng)
+    _age(marks2, new_mark)
+    new, new_marks = state.astype(np.int64), marks2.astype(np.int64)
+    if np.ndim(x) == 1:
         return new[0], new_marks[0]
     return new, new_marks
 
@@ -208,15 +220,17 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     gen_rng = _block_rng(master_seed, block_index, _GEN_CHANNEL)
     env_rng = _block_rng(master_seed, block_index, _ENV_CHANNEL)
     b = d.array
-    x = np.full((block_size, d.k + 1), start_count, dtype=np.int64)
+    x = np.full((block_size, d.k + 1), float(start_count))
+    ones = np.ones(d.k + 1)
     trials_now = trials_next = n_pop
     w0, w = 1.0, np.ones(d.k)
     # one environment register per replicate, compacted together with x:
-    # xi in the slow regime, the last K marks in the fast regime
+    # xi in the slow regime; in the fast regime the weights 1 + s_N * mark of
+    # the fresh mark and the last K marks (mark 0 before the first generation)
     if regime == "slow":
         env_state = np.full(block_size, float(xi0))
     elif regime == "fast":
-        env_state = np.zeros((block_size, d.k), dtype=np.int64)
+        env_state = np.ones((block_size, d.k + 1))
         s_n = fenv.s_of_N(n_pop)
     else:
         env_state = np.empty((block_size, 0))
@@ -231,18 +245,20 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             trials_next = _mature_size(xi_next, n_pop)
             env_state = xi_next
         elif regime == "fast":
-            new_mark = fenv.sample_marks(env_rng, x.shape[0])
-            w0 = 1.0 + s_n * new_mark
-            w = 1.0 + s_n * env_state.astype(float)
-            env_state = _age(env_state, new_mark)
+            _age(env_state, 1.0 + s_n * fenv.sample_marks(env_rng, x.shape[0]))
+            w0, w = env_state[:, 0], env_state[:, 1:]
 
-        x = _generation(x, b, trials_now, trials_next, w0, w, gen_rng)
-        hit_fixed = x[:, 0] == trials_next
-        hit_lost = (x == 0).all(axis=1)
-        fixed += int(hit_fixed.sum())
-        lost += int(hit_lost.sum())
-        keep = ~(hit_fixed | hit_lost)
-        x, env_state = x[keep], env_state[keep]
+        new = _generation(x, b, trials_now, trials_next, w0, w, gen_rng)
+        # x is already aged: a row is lost when its whole register is zero,
+        # that is when it sums to zero (an exact integer sum of counts >= 0)
+        hit_fixed = new == trials_next
+        hit_lost = x @ ones == 0
+        done = hit_fixed | hit_lost
+        if np.count_nonzero(done):
+            fixed += int(np.count_nonzero(hit_fixed))
+            lost += int(np.count_nonzero(hit_lost))
+            keep = ~done
+            x, env_state = x[keep], env_state[keep]
     return fixed, lost, x.shape[0]
 
 
@@ -258,6 +274,10 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
     """
     if regime not in ("constant", "slow", "fast"):
         raise ValidationError(f"unknown regime {regime!r}")
+    for name, value in (("n_pop", n_pop), ("replicates", replicates),
+                        ("max_generations", max_generations), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if replicates < 100:
         raise ValidationError("replicates must be at least 100")
     if regime == "slow" and env is None:
@@ -268,9 +288,9 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
         )
     if regime == "fast" and fenv is None:
         raise ValidationError("fast regime requires a FastEnvSpec")
+    if not 0.0 <= start <= 1.0:
+        raise ValidationError(f"start frequency {start!r} outside [0, 1]")
     start_count = int(round(start * n_pop))
-    if not 0 <= start_count <= n_pop:
-        raise ValidationError("start frequency outside [0, 1]")
     if regime == "slow":
         if not env.xi_min <= xi0 <= env.xi_max:
             raise ValidationError(f"xi0={xi0} outside [{env.xi_min}, {env.xi_max}]")

@@ -144,6 +144,16 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 2
     capsys.readouterr()
 
+    # Monte Carlo inputs that are not a population, a frequency or a budget
+    mc = ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--replicates", "200"]
+    for bad in (["--N", "0", "--start", "0.2"], ["--N", "50", "--start", "nan"],
+                ["--N", "50", "--start", "0.2", "--max-generations", "0"],
+                ["--N", "50", "--start", "0.2", "--threads", "0"]):
+        rc = main(mc + bad + ["--out", str(tmp_path / "mc.json")])
+        assert rc == 2, bad
+        assert not (tmp_path / "mc.json").exists()
+        capsys.readouterr()
+
     rc = main(["psi-curve", "--B", "0,-1", "--out", str(tmp_path / "bad.csv")])
     assert rc == 2
     capsys.readouterr()

@@ -16,6 +16,9 @@ from seedbank.wf_simulators import (
 )
 
 
+DEEP_B = [0.4, 0.2, 0.15, 0.1, 0.1, 0.05]
+
+
 def expected_constant_delta(d, x):
     """One-step conditional mean of the mutant frequency change (frequencies)."""
     b = d.array
@@ -238,6 +241,17 @@ def test_run_fixation_validation_and_edges():
     with pytest.raises(ValidationError):
         run_fixation("slow", d, 100, 0.3, 200, 1000, seed=1, env=env, xi0=5.0)
 
+    # not a population size, a frequency, a budget or a thread count
+    base = dict(n_pop=100, start=0.3, replicates=200, max_generations=1000, seed=1)
+    for bad in [{"n_pop": 10.5}, {"n_pop": 0}, {"n_pop": np.int64(-3)},
+                {"start": float("nan")}, {"start": 1.5}, {"start": -0.1},
+                {"max_generations": 0}, {"threads": 0}, {"replicates": 150.5}]:
+        with pytest.raises(ValidationError):
+            run_fixation("constant", d, **{**base, **bad})
+    # numpy integers are integers
+    est = run_fixation("constant", d, np.int64(100), 0.3, np.int64(200), 1000, seed=1)
+    assert est == run_fixation("constant", d, 100, 0.3, 200, 1000, seed=1)
+
     est = run_fixation("constant", d, 100, 0.0, 200, 1000, seed=1)
     assert est.p_hat == 0.0 and est.lost_count == 200
     est = run_fixation("constant", d, 100, 1.0, 200, 1000, seed=1)
@@ -320,14 +334,66 @@ def test_reflected_walk_std_err_matches_seed_spread():
             },
             (932, 2926, 1142),
         ),
+        # deep banks: the dormant sum runs over K = 5 (or 3) terms per row
+        ("constant", {"b": DEEP_B}, (496, 1677, 2827)),
+        ("fast", {"b": DEEP_B, "fenv": FastEnvSpec(p=0.25, s=1.0)}, (641, 1475, 2884)),
+        (
+            "slow",
+            {
+                "b": [0.5, 0.2, 0.2, 0.1],
+                "env": make_env_process(
+                    "reflected_walk", 0.5, 2.0, 60, alpha=lambda x: 1.0 - x,
+                    eta=lambda x: 0.5 * (x - 0.5) * (2.0 - x),
+                ),
+                "xi0": 1.0,
+            },
+            (701, 2513, 1786),
+        ),
     ],
 )
 def test_run_fixation_pinned_counts(regime, extra, counts):
     # exact (fixed, lost, censored) over two replicate blocks: any change to
     # the draw order or to the per-generation update shows up here
-    d = validate_distribution([0.5, 0.3, 0.2])
+    extra = dict(extra)
+    d = validate_distribution(extra.pop("b", [0.5, 0.3, 0.2]))
     est = run_fixation(regime, d, 60, 0.2, 5000, 150, seed=5, **extra)
     assert (est.fixed_count, est.lost_count, est.censored_count) == counts
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("b", [[0.6, 0.4], DEEP_B])
+def test_step_block_equals_rows_from_one_stream(b):
+    # a block step is R one-row steps drawn in row order from the same stream
+    d = validate_distribution(b)
+    fenv = FastEnvSpec(p=0.25, s=1.0)
+    n_pop, reps = 50, 40
+    rng = np.random.default_rng(21)
+    # at most floor(xi_now * N) mature mutants, as the slow chain requires
+    x = rng.integers(0, n_pop // 2 + 1, (reps, d.k + 1))
+    xi_now, xi_next = rng.uniform(0.5, 1.0, reps), rng.uniform(0.5, 1.0, reps)
+    marks, fresh = rng.integers(-1, 2, (reps, d.k)), rng.integers(-1, 2, reps)
+
+    block = step_constant(x, d, n_pop, _philox(3))
+    gen = _philox(3)
+    rows = [step_constant(row, d, n_pop, gen) for row in x]
+    assert block.dtype == np.int64
+    np.testing.assert_array_equal(block, rows)
+
+    block = step_slow(x, xi_now, xi_next, d, n_pop, _philox(4))
+    gen = _philox(4)
+    rows = [step_slow(x[i], xi_now[i], xi_next[i], d, n_pop, gen) for i in range(reps)]
+    assert block.dtype == np.int64
+    np.testing.assert_array_equal(block, rows)
+
+    block, block_marks = step_fast(x, marks, fresh, d, n_pop, fenv, _philox(5))
+    gen = _philox(5)
+    rows = [step_fast(x[i], marks[i], fresh[i], d, n_pop, fenv, gen) for i in range(reps)]
+    assert block.dtype == block_marks.dtype == np.int64
+    np.testing.assert_array_equal(block, [r[0] for r in rows])
+    np.testing.assert_array_equal(block_marks, [r[1] for r in rows])
 
 
 def test_fixation_estimate_to_dict():
