@@ -1,13 +1,14 @@
 """Limiting diffusions, fixation probabilities, and the backward PDE solver.
 
 Provides the limiting SDEs of the three regimes (constant environment, slowly
-varying population size, fast environment marks; each 1-D regime is written
-once, as an array-native (drift, diffusion) pair), an Euler-Maruyama integrator
-with absorbing boundaries, scale-function fixation probabilities for
-autonomous 1-D diffusions, the closed-form fixation bound Psi(B, y), the sign
-diagnostic g for stochastic population-size fluctuations, and a Crank-Nicolson
-backward Kolmogorov solver for the non-autonomous logistic-environment
-fixation probability.
+varying population size, fast environment marks), each written once as an
+array-native (drift, diffusion) pair; the slow pair, the Crank-Nicolson
+solver's coefficients and g share one set of slow-regime factors.  Also an
+Euler-Maruyama integrator with absorbing boundaries, scale-function fixation
+probabilities for autonomous 1-D diffusions, the closed-form fixation bound
+Psi(B, y), the sign diagnostic g for stochastic population-size fluctuations,
+and a Crank-Nicolson backward Kolmogorov solver for the non-autonomous
+logistic-environment fixation probability.
 """
 
 import functools
@@ -130,77 +131,66 @@ def sde_fast_env(d, fenv):
     return _sde_1d(*fast_coefficients_vec(d, fenv))
 
 
-def sde_slow_env(d, env, variable="proportion"):
-    """Coupled 2-D diffusion of the slowly varying environment.
-
-    State is (x0, xi) for ``variable="count"`` and (rho0, xi) for
-    ``variable="proportion"``; the two noise columns are (W_0, W_env).
+def _slow_factors(big_b, rho, phi2):
+    """The xi-free factors (den, selection, pull, variance, Ito) of the slow
+    environment's proportion form at rho0, a scalar or an array: den =
+    B (1 - rho0) + 1, phi'' rho0 (1 - rho0) / 2, B rho0 (1 - rho0) / den,
+    rho0 (1 - rho0) / den^2 and rho0^2 (phi'' - 2 B / den^2) / 2.  The caller
+    passes phi2 = phi''(rho0), so that a march evaluates it once, not per step.
     """
-    if variable not in ("count", "proportion"):
-        raise ValidationError("variable must be 'count' or 'proportion'")
+    rho_fac = rho * (1.0 - rho)
+    den = big_b * (1.0 - rho) + 1.0
+    den2 = den**2
+    return (den, 0.5 * phi2 * rho_fac, big_b * rho_fac / den, rho_fac / den2,
+            0.5 * rho**2 * (phi2 - 2.0 * big_b / den2))
+
+
+def slow_coefficients_vec(d, env):
+    """Drift and diffusion of the slow environment's coupled diffusion in the
+    proportion form, as callables of (rho0, xi), scalars or arrays of one
+    shape; rho0 is clamped into [0, 1].
+
+    ``drift(rho0, xi)`` returns (mu_rho, alpha(xi)) with
+    mu_rho = (selection - pull alpha)/xi + eta^2 (pull + Ito)/xi^2, and
+    ``diffusion(rho0, xi)`` the entries (sqrt(variance / xi), -pull eta / xi,
+    eta) of the matrix [[., .], [0, eta]] whose columns are the noises
+    (W_0, W_env); the factors are those of ``_slow_factors``.
+    """
     phi2 = drift_factor_fn(d)
     big_b = d.mean_time
     alpha, eta = env.alpha, env.eta
 
-    if variable == "count":
+    def factors(rho):
+        rho = np.clip(rho, 0.0, 1.0)
+        return _slow_factors(big_b, rho, phi2(rho))
 
-        def drift(y, t=0.0):
-            x0, xi = y
-            rho = min(max(x0 / xi, 0.0), 1.0)
-            den = big_b * (xi - x0) + xi
-            e = eta(xi)
-            mu_x = (
-                0.5 * phi2(rho) * (x0 * (xi - x0) + e**2 * x0**2 / xi) / xi**2
-                + x0 * alpha(xi) / den
-                - big_b * x0**2 * e**2 / (xi * den**2)
-            )
-            return np.array([mu_x, alpha(xi)])
+    def drift_vec(rho, xi):
+        _, selection, pull, _, ito = factors(rho)
+        a = alpha(xi)
+        return (selection - pull * a) / xi + eta(xi)**2 * (pull + ito) / xi**2, a
 
-        def diffusion(y, t=0.0):
-            x0, xi = y
-            den = big_b * (xi - x0) + xi
-            e = eta(xi)
-            g0 = math.sqrt(max(xi * x0 * (xi - x0), 0.0)) / den
-            return np.array([[g0, x0 * e / den], [0.0, e]])
-
-        domain = np.array([[0.0, env.xi_max], [env.xi_min, env.xi_max]])
-        return SdeSpec(
-            dim=2,
-            drift=drift,
-            diffusion=diffusion,
-            domain=domain,
-            absorbing=((0.0,), ()),
-        )
-
-    def drift(y, t=0.0):
-        rho, xi = y
-        rho = min(max(rho, 0.0), 1.0)
-        den = big_b * (1.0 - rho) + 1.0
+    def diff_vec(rho, xi):
+        _, _, pull, variance, _ = factors(rho)
         e = eta(xi)
-        f2 = phi2(rho)
-        mu_rho = (
-            0.5 * f2 * rho * (1.0 - rho) / xi
-            - big_b * rho * (1.0 - rho) * alpha(xi) / (den * xi)
-            + big_b * rho * (1.0 - rho) * e**2 / (den * xi**2)
-            + rho**2 * e**2 / (2.0 * xi**2) * (f2 - 2.0 * big_b / den**2)
-        )
-        return np.array([mu_rho, alpha(xi)])
+        return np.sqrt(variance / xi), -pull * e / xi, e
+
+    return drift_vec, diff_vec
+
+
+def sde_slow_env(d, env):
+    """Coupled 2-D diffusion of the slowly varying environment: state
+    (rho0, xi), noise columns (W_0, W_env)."""
+    drift_vec, diff_vec = slow_coefficients_vec(d, env)
 
     def diffusion(y, t=0.0):
-        rho, xi = y
-        rho = min(max(rho, 0.0), 1.0)
-        den = big_b * (1.0 - rho) + 1.0
-        e = eta(xi)
-        g0 = math.sqrt(max(rho * (1.0 - rho), 0.0)) / (den * math.sqrt(xi))
-        g_env = -big_b * rho * (1.0 - rho) * e / (den * xi)
+        g0, g_env, e = diff_vec(*y)
         return np.array([[g0, g_env], [0.0, e]])
 
-    domain = np.array([[0.0, 1.0], [env.xi_min, env.xi_max]])
     return SdeSpec(
         dim=2,
-        drift=drift,
+        drift=lambda y, t=0.0: np.array(drift_vec(*y)),
         diffusion=diffusion,
-        domain=domain,
+        domain=np.array([[0.0, 1.0], [env.xi_min, env.xi_max]]),
         absorbing=((0.0, 1.0), ()),
     )
 
@@ -415,14 +405,19 @@ def g_function(d, rho0, xi):
     Positive values mean the fluctuations favour the dormancy trait at
     proportion rho0 and population size xi; negative values disfavour it.
     ``rho0`` may be an array.
+
+    g = pull / xi + rho0^2 (phi'' - 2 B / den) / 2, with pull and den those
+    of the slow drift.  It is not the eta^2 coefficient of that drift,
+    (pull + Ito) / xi^2 with Ito = rho0^2 (phi'' - 2 B / den^2) / 2: g divides
+    only the pull term by xi, and by xi rather than xi^2, and has den where
+    the Ito term has den^2.  Their signs agree at B = 0.05, but at xi = 2
+    they differ at 19 of 49 rho0 in [0.02, 0.98] for B = 0.5 and at 25 for
+    B = 2.7; which sign is right is for a Monte Carlo test to decide.
     """
     big_b = d.mean_time
-    phi2 = drift_factor_fn(d)
-    den = big_b * (1.0 - rho0) + 1.0
-    return rho0 * (
-        big_b * (1.0 - rho0) / (den * xi)
-        + 0.5 * rho0 * (phi2(rho0) - 2.0 * big_b / den)
-    )
+    phi2 = drift_factor_fn(d)(rho0)
+    den, _, pull, _, _ = _slow_factors(big_b, rho0, phi2)
+    return pull / xi + 0.5 * rho0**2 * (phi2 - 2.0 * big_b / den)
 
 
 @dataclass(frozen=True)
@@ -566,18 +561,12 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     rho = np.linspace(0.0, 1.0, n)
     interior = rho[1:-1]
     phi2_grid = np.array([drift_factor_fn(di)(interior) for di in ds])
-    den = big_b * (1.0 - interior) + 1.0
-    rho_fac = interior * (1.0 - interior)
-    # the xi-free leading factors of each term, in the order they are rounded
-    # at every step
-    selection = 0.5 * phi2_grid * rho_fac
-    logistic_pull = big_b * rho_fac * r
-    half_var = 0.5 * rho_fac
-    den2 = den**2
+    _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
+    half_var = 0.5 * variance
 
     def coefficients(xi):
-        mu = selection / xi - logistic_pull * xi * (xi_inf - xi) / (den * xi)
-        return mu, half_var / (den2 * xi)
+        # the slow pair's drift and half variance at eta = 0, alpha = r xi (xi_inf - xi)
+        return (selection - pull * (r * xi * (xi_inf - xi))) / xi, half_var / xi
 
     # terminal condition: discrete stationary profile of the autonomous
     # operator at xi_inf (exactly stationary under the scheme by construction)

@@ -229,6 +229,7 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     # the fresh mark and the last K marks (mark 0 before the first generation)
     if regime == "slow":
         env_state = np.full(block_size, float(xi0))
+        trials_next = _mature_size(env_state, n_pop)
     elif regime == "fast":
         env_state = np.ones((block_size, d.k + 1))
         s_n = fenv.s_of_N(n_pop)
@@ -240,10 +241,10 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
         if x.shape[0] == 0:
             break
         if regime == "slow":
-            xi_next = env.step(env_state, env_rng)
-            trials_now = _mature_size(env_state, n_pop)
-            trials_next = _mature_size(xi_next, n_pop)
-            env_state = xi_next
+            # generation t's mature sizes are generation t-1's trials_next
+            trials_now = trials_next
+            env_state = env.step(env_state, env_rng)
+            trials_next = _mature_size(env_state, n_pop)
         elif regime == "fast":
             _age(env_state, 1.0 + s_n * fenv.sample_marks(env_rng, x.shape[0]))
             w0, w = env_state[:, 0], env_state[:, 1:]
@@ -259,6 +260,8 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             lost += int(np.count_nonzero(hit_lost))
             keep = ~done
             x, env_state = x[keep], env_state[keep]
+            if regime == "slow":
+                trials_next = trials_next[keep]
     return fixed, lost, x.shape[0]
 
 
@@ -292,6 +295,10 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
         raise ValidationError(f"start frequency {start!r} outside [0, 1]")
     start_count = int(round(start * n_pop))
     if regime == "slow":
+        # an empty mature population draws 0 of 0 mutants: it would count as fixed
+        if _mature_size(env.xi_min, n_pop) < 1:
+            raise ValidationError(f"floor(xi_min * N) is 0 at xi_min={env.xi_min}, "
+                                  f"N={n_pop}: the mature population can be empty")
         if not env.xi_min <= xi0 <= env.xi_max:
             raise ValidationError(f"xi0={xi0} outside [{env.xi_min}, {env.xi_max}]")
         if start_count > _mature_size(xi0, n_pop):

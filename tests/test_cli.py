@@ -153,6 +153,13 @@ def test_exit_codes(tmp_path, capsys):
         assert rc == 2, bad
         assert not (tmp_path / "mc.json").exists()
         capsys.readouterr()
+    # a slow-regime box whose mature population floor(xi_min * N) can be 0
+    rc = main(["mc-compare", "--regime", "slow", "--b", "0.5,0.5", "--N", "8",
+               "--start", "0.125", "--replicates", "200", "--r", "20",
+               "--xi-inf", "0.11", "--xi-min", "0.1", "--xi-max", "2",
+               "--out", str(tmp_path / "mc.json")])
+    assert rc == 2 and not (tmp_path / "mc.json").exists()
+    capsys.readouterr()
 
     rc = main(["psi-curve", "--B", "0,-1", "--out", str(tmp_path / "bad.csv")])
     assert rc == 2

@@ -32,6 +32,7 @@ from seedbank.diffusion_limits import (
     drift_factor_fn,
     fast_coefficients_vec,
     logistic_xi,
+    slow_coefficients_vec,
 )
 from seedbank.errors import (
     DegenerateDiffusion,
@@ -73,7 +74,7 @@ def test_sde_constant_boundaries_and_sign():
 def test_slow_env_reduces_to_constant():
     d = validate_distribution([0.5, 0.5])
     env = SlowEnvSpec(0.5, 2.0, alpha=lambda x: 0.0, eta=lambda x: 0.0)
-    slow = sde_slow_env(d, env, variable="proportion")
+    slow = sde_slow_env(d, env)
     const = sde_constant(d)
     for rho in np.linspace(0.05, 0.95, 7):
         y = np.array([rho, 1.0])
@@ -87,7 +88,7 @@ def test_slow_env_reduces_to_constant():
 def test_slow_env_deterministic_drift_term():
     d = validate_distribution([0.7, 0.3])
     env = bounded_env(eta_amp=0.0)
-    slow = sde_slow_env(d, env, variable="proportion")
+    slow = sde_slow_env(d, env)
     big_b = d.mean_time
     phi2 = drift_factor_fn(d)
     for rho, xi in [(0.3, 0.8), (0.6, 1.5)]:
@@ -99,6 +100,22 @@ def test_slow_env_deterministic_drift_term():
         assert abs(slow.drift(np.array([rho, xi]))[0] - want) < 1e-14
 
 
+def count_form(d, env, x0, xi):
+    """Drift (mu_x, alpha) and diffusion matrix of the slow environment's
+    diffusion in the count variable x0 = rho0 xi, with den = B (xi - x0) + xi."""
+    phi2 = drift_factor_fn(d)(min(max(x0 / xi, 0.0), 1.0))
+    big_b = d.mean_time
+    den = big_b * (xi - x0) + xi
+    e, alpha = env.eta(xi), env.alpha(xi)
+    mu_x = (
+        0.5 * phi2 * (x0 * (xi - x0) + e**2 * x0**2 / xi) / xi**2
+        + x0 * alpha / den
+        - big_b * x0**2 * e**2 / (xi * den**2)
+    )
+    g0 = math.sqrt(max(xi * x0 * (xi - x0), 0.0)) / den
+    return np.array([mu_x, alpha]), np.array([[g0, x0 * e / den], [0.0, e]])
+
+
 def test_count_to_proportion_ito_consistency():
     # applying the Ito change of variables rho = x0 / xi to the count-variable
     # coefficients reproduces the proportion-variable coefficients
@@ -107,15 +124,12 @@ def test_count_to_proportion_ito_consistency():
         k = rng.integers(1, 4)
         d = random_simplex(rng, k)
         env = bounded_env()
-        count = sde_slow_env(d, env, variable="count")
-        prop = sde_slow_env(d, env, variable="proportion")
+        prop = sde_slow_env(d, env)
         xi = rng.uniform(0.6, 1.9)
         rho = rng.uniform(0.05, 0.95)
         x0 = rho * xi
-        yc = np.array([x0, xi])
         yp = np.array([rho, xi])
-        mu_x, alpha = count.drift(yc)
-        sig = count.diffusion(yc)
+        (mu_x, alpha), sig = count_form(d, env, x0, xi)
         eta = sig[1, 1]
         # d rho = dx0/xi - x0 dxi/xi^2 - d<x0, xi>/xi^2 + x0 d<xi>/xi^3
         cross = sig[0, 1] * eta  # only the W_env column couples x0 and xi
@@ -147,22 +161,28 @@ def test_sde_fast_env():
 
 
 @pytest.mark.parametrize(
-    "b, fenv",
+    "b, env",
     [
         ([0.5, 0.5], None),
         ([0.5, 0.3, 0.2], None),
         ([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], None),
         ([0.5, 0.5], FastEnvSpec(p=0.25, s=1.0)),
         ([0.7, 0.3], FastEnvSpec(p=0.1, s=2.0)),
+        ([0.5, 0.5], bounded_env()),
+        ([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], bounded_env(eta_amp=0.5)),
     ],
-    ids=["constant-K1", "constant-K2", "constant-K5", "fast-p0.25-s1", "fast-p0.1-s2"],
+    ids=["constant-K1", "constant-K2", "constant-K5", "fast-p0.25-s1", "fast-p0.1-s2",
+         "slow-K1", "slow-K5"],
 )
-def test_coefficient_pair_matches_spec(b, fenv):
+def test_coefficient_pair_matches_spec(b, env):
     d = validate_distribution(b)
-    if fenv is None:
+    if isinstance(env, SlowEnvSpec):
+        check_slow_pair(d, env)
+        return
+    if env is None:
         spec, (drift_vec, diff_vec) = sde_constant(d), constant_coefficients_vec(d)
     else:
-        spec, (drift_vec, diff_vec) = sde_fast_env(d, fenv), fast_coefficients_vec(d, fenv)
+        spec, (drift_vec, diff_vec) = sde_fast_env(d, env), fast_coefficients_vec(d, env)
     xs = np.linspace(0.0, 1.0, 41)
     for x in xs:
         assert spec.drift(np.array([x]))[0] == drift_vec(x)
@@ -175,6 +195,30 @@ def test_coefficient_pair_matches_spec(b, fenv):
     assert diff_arr[0] == diff_arr[-1] == 0.0
     # x (1 - x) < 0 just outside [0, 1] is clamped, not a NaN
     np.testing.assert_array_equal(diff_vec(np.array([-0.1, 1.1])), 0.0)
+
+
+def check_slow_pair(d, env):
+    """The 2-D form of the checks above, on a (rho0, xi) grid."""
+    spec, (drift_vec, diff_vec) = sde_slow_env(d, env), slow_coefficients_vec(d, env)
+    rhos, xis = np.meshgrid(np.linspace(0.0, 1.0, 21),
+                            np.linspace(env.xi_min, env.xi_max, 7))
+    states = list(zip(rhos.ravel(), xis.ravel()))
+    for rho, xi in states:
+        y = np.array([rho, xi])
+        g0, g_env, e = diff_vec(rho, xi)
+        np.testing.assert_array_equal(spec.drift(y), drift_vec(rho, xi))
+        np.testing.assert_array_equal(spec.diffusion(y), [[g0, g_env], [0.0, e]])
+    # array input: every entry within an ulp of the scalar one
+    for vec in (drift_vec, diff_vec):
+        scalar = np.array([vec(rho, xi) for rho, xi in states])
+        for i, entry in enumerate(vec(rhos, xis)):
+            assert entry.shape == rhos.shape
+            np.testing.assert_allclose(entry.ravel(), scalar[:, i], rtol=1e-15, atol=1e-17)
+    # rho0 just outside [0, 1] is clamped to the edge, not a NaN
+    for vec in (drift_vec, diff_vec):
+        outside = np.array(vec(np.array([-0.1, 1.1]), np.ones(2)))
+        assert np.all(np.isfinite(outside))
+        np.testing.assert_array_equal(outside, vec(np.array([0.0, 1.0]), np.ones(2)))
 
 
 def test_integrate_sde_constant_path():
@@ -195,7 +239,7 @@ def test_integrate_sde_constant_path():
 def test_integrate_sde_box_conservation():
     d = validate_distribution([0.5, 0.5])
     env = bounded_env()
-    spec = sde_slow_env(d, env, variable="proportion")
+    spec = sde_slow_env(d, env)
     _, path, _ = integrate_sde(spec, [0.5, 1.0], t_end=5.0, dt=0.002, seed=4)
     assert np.all(path[:, 0] >= 0.0) and np.all(path[:, 0] <= 1.0)
     assert np.all(path[:, 1] >= env.xi_min - 1e-12)
@@ -565,9 +609,9 @@ def test_kolmogorov_batch_matches_scalar_calls():
 
 
 @pytest.mark.parametrize("b0, xi_inf, want", [
-    (0.1, 0.8, 0.0024346504283867397),
-    (0.5, 1.2, 0.003868194782364907),
-    (0.7, 0.8, 0.006023679489550169),
+    (0.1, 0.8, 0.0024346504283867367),
+    (0.5, 1.2, 0.003868194782364811),
+    (0.7, 0.8, 0.006023679489550172),
 ])
 def test_kolmogorov_pinned_values(b0, xi_inf, want):
     # fixation-vs-b0 rows at --r 20 --y 0.01, exact: the CSV bytes depend on

@@ -241,6 +241,12 @@ def test_run_fixation_validation_and_edges():
     with pytest.raises(ValidationError):
         run_fixation("slow", d, 100, 0.3, 200, 1000, seed=1, env=env, xi0=5.0)
 
+    # a box whose floor(xi_min * N) is 0: an empty mature population once read
+    # as fixation (the draw 0 equals the 0 trials), 200 of 200 fixed
+    env = make_env_process("deterministic_logistic", 0.1, 2.0, 8, r=20.0, xi_inf=0.11)
+    with pytest.raises(ValidationError, match="xi_min"):
+        run_fixation("slow", d, 8, 0.125, 200, 1000, seed=1, env=env, xi0=1.0)
+
     # not a population size, a frequency, a budget or a thread count
     base = dict(n_pop=100, start=0.3, replicates=200, max_generations=1000, seed=1)
     for bad in [{"n_pop": 10.5}, {"n_pop": 0}, {"n_pop": np.int64(-3)},
