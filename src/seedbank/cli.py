@@ -141,21 +141,25 @@ def cmd_fixation_vs_b0(args):
 
 
 def cmd_g_plot(args):
-    xis = _parse_floats(args.xi)
-    big_bs = _parse_floats(args.B)
+    xis = np.array(_parse_floats(args.xi))
     params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
     lines = _csv_header("g-plot", params, args.seed)
     lines.append("xi,B,rho0,g")
+    if args.b:
+        # an explicit bank overrides --B; its own mean time labels the rows
+        d = distribution_from_cli(args.b)
+        banks = [(d.mean_time, d)]
+    else:
+        # realize mean time B with a two-generation bank: b1 = b2 = B/3
+        banks = [(big_b, validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
+                                                big_b / 3.0]))
+                 for big_b in _parse_floats(args.B)]
     rhos = np.linspace(0.0, 1.0, args.steps)
-    for xi in xis:
-        for big_b in big_bs:
-            if args.b:
-                d = distribution_from_cli(args.b)
-            else:
-                # realize mean time B with a two-generation bank: b1 = b2 = B/3
-                d = validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
-                                           big_b / 3.0])
-            for rho, val in zip(rhos, g_function(d, rhos, float(xi))):
+    # one (xi, rho0) table per bank, for one evaluation of phi''
+    tables = [g_function(d, rhos, xis[:, None]) for _, d in banks]
+    for i, xi in enumerate(xis):
+        for (big_b, _), table in zip(banks, tables):
+            for rho, val in zip(rhos, table[i]):
                 lines.append(
                     f"{_fmt(float(xi))},{_fmt(float(big_b))},"
                     f"{_fmt(float(rho))},{_fmt(val)}"

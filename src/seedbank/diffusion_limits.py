@@ -31,26 +31,30 @@ from .errors import (
     ValidationError,
 )
 from .seedbank_flows import (
+    batched_drift_fn,
     drift_k1_closed,
     drift_k2_closed,
     h_function,
-    lyapunov_drift_fn,
 )
 
 
 def drift_factor_fn(d):
     """Second derivative of the projection map as a callable of x0, scalar or
-    array.
+    array: the phi'' of every diffusion limit in this module.
 
-    Uses the closed K <= 2 forms (which equal the engine output) and the
-    deflated Lyapunov pipeline for deeper seed banks.
+    Uses the closed K <= 2 forms (which equal the engine output).  For deeper
+    seed banks it is ``batched_drift_fn``: exact, with one Schur
+    factorisation per distribution and one K x K solve per point, all points
+    of a call batched, each checked against the full Lyapunov equation.
+    ``drift_second_derivative`` keeps the direct per-point solve as the
+    oracle.  Build the callable once per distribution and call it on arrays.
     """
     if d.k == 1:
         b0 = d.b[0]
         return lambda x0: drift_k1_closed(b0, x0)
     if d.k == 2:
         return lambda x0: drift_k2_closed(d, x0)
-    return lyapunov_drift_fn(d)
+    return batched_drift_fn(d)
 
 
 @dataclass
@@ -404,7 +408,9 @@ def g_function(d, rho0, xi):
 
     Positive values mean the fluctuations favour the dormancy trait at
     proportion rho0 and population size xi; negative values disfavour it.
-    ``rho0`` may be an array.
+    ``rho0`` and ``xi`` may be arrays that broadcast against each other;
+    phi'' is evaluated on rho0 alone, so an (m, 1) array of xi against n
+    values of rho0 gives an (m, n) table for one evaluation of phi''.
 
     g = pull / xi + rho0^2 (phi'' - 2 B / den) / 2, with pull and den those
     of the slow drift.  It is not the eta^2 coefficient of that drift,

@@ -239,23 +239,36 @@ def _no_sort(wr, wi):
     return 0
 
 
-def solve_lyapunov(a, q):
-    """S with A^T S + S A = Q, by the Bartels-Stewart method.
-
-    Real Schur form A = Z T Z^T (LAPACK gees), then the quasi-triangular
-    Sylvester equation T^T Y + Y T = Z^T Q Z (LAPACK trsyl), S = Z Y Z^T.
-    Raises SingularSystem when the factorisation fails, when two eigenvalues
-    of A (nearly) sum to zero, or when the residual exceeds 1e-8 max(1, |Q|).
-    """
+def schur_form(a):
+    """Real Schur form A = Z T Z^T (LAPACK gees) as (T, Z); raises
+    SingularSystem when the factorisation fails."""
     t, _, _, _, z, _, info = lapack.dgees(_no_sort, a)
     if info != 0:
         raise SingularSystem(f"Schur factorisation failed (gees info {info})")
+    return t, z
+
+
+def solve_lyapunov_schur(t, z, q):
+    """S with A^T S + S A = Q for A = Z T Z^T in Schur form, without a
+    residual check: the quasi-triangular Sylvester equation
+    T^T Y + Y T = Z^T Q Z (LAPACK trsyl), S = Z Y Z^T.  Raises SingularSystem
+    when two eigenvalues of A (nearly) sum to zero."""
     y, scale, info = lapack.dtrsyl(t, t, z.T @ q @ z, trana="T")
     if info != 0:
         raise SingularSystem(
             f"Lyapunov operator singular: eigenvalues of A sum to ~0 (trsyl info {info})"
         )
-    s = z @ (y / scale) @ z.T
+    return z @ (y / scale) @ z.T
+
+
+def solve_lyapunov(a, q):
+    """S with A^T S + S A = Q, by the Bartels-Stewart method
+    (``schur_form``, then ``solve_lyapunov_schur``).
+
+    Raises SingularSystem when the factorisation fails, when two eigenvalues
+    of A (nearly) sum to zero, or when the residual exceeds 1e-8 max(1, |Q|).
+    """
+    s = solve_lyapunov_schur(*schur_form(a), q)
     _check_lyapunov_residual(a, s, q)
     return s
 

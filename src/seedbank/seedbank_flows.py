@@ -22,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import GerminationDistribution, tail_sums
-from .errors import UnsupportedK, ValidationError
+from .errors import SingularSystem, UnsupportedK, ValidationError
 from .manifold_reduction import (
     FlowField,
     ManifoldChart,
     deflation_basis,
     diagonal_chart,
+    schur_form,
     solve_lyapunov,
+    solve_lyapunov_schur,
 )
 
 TAGS = ("constant", "linearized", "slow_env", "fast_env")
@@ -300,27 +302,38 @@ def drift_bound(big_b, x0):
     return big_b * (big_b * (1.0 - x0) + 2.0) / den**3
 
 
+def _deflated_drift_pieces(d):
+    """The x0-free pieces of the deflated defect equation, formed once per
+    distribution: (B, A_1, w_0, row, Delta_W).
+
+    Along the manifold u = (1, ..., 1) is fixed, the Jacobian is
+    J(1) + (1 - x0) e_0 r^T with r the first row of J(0), and the defect
+    right-hand side is 2 (1 - x0) v_0 Delta with v_0 = 1 / (B (1 - x0) + 1);
+    Delta u = 0, so the stable projections drop out.  With W the deflation
+    basis of u, the deflated equation at x0 is A(x0)^T S + S A(x0) = c Delta_W
+    with A(x0) = A_1 + s w_0 row^T, s = 1 - x0, c = 2 s / (B s + 1),
+    A_1 = W^T J(1) W, w_0 = W^T e_0, row = W^T r and Delta_W = W^T Delta W,
+    and phi''(x0) = drift_bound(B, x0) - w_0^T S w_0.
+    """
+    kind = FlowKind("constant", d)
+    w = deflation_basis(np.ones(d.k + 1))
+    delta, _ = delta_matrix(d)
+    return (d.mean_time, w.T @ jacobian_on_gamma(kind, 1.0) @ w, w[0],
+            jacobian_on_gamma(kind, 0.0)[0] @ w, w.T @ delta @ w)
+
+
 def lyapunov_drift_fn(d):
     """Second derivative of the projection map's first component on the
-    manifold, as a callable of x0 (a scalar or an array).
+    manifold, as a callable of x0 (a scalar or an array), by one direct
+    K x K Lyapunov solve per point.
 
     Computed as the closed-form bound minus the (0,0) entry of the curvature
     matrix attributable to the rank-one Hessian defect, the latter from the
-    deflated semistable Lyapunov solve.  Along the manifold u = (1, ..., 1)
-    is fixed, the Jacobian is J(1) + (1 - x0) e_0 r^T with r the first row of
-    J(0), and the defect right-hand side is 2 (1 - x0) v_0 Delta with
-    v_0 = 1 / (B (1 - x0) + 1); Delta u = 0, so the stable projections drop
-    out.  The deflated pieces are therefore formed once per distribution, and
-    each x0 costs one K x K Lyapunov solve.
+    deflated semistable Lyapunov solve (``_deflated_drift_pieces``).  This is
+    the oracle path behind ``drift_second_derivative``; the diffusion limits
+    use ``batched_drift_fn``, which is exact too and much cheaper per point.
     """
-    kind = FlowKind("constant", d)
-    big_b = d.mean_time
-    w = deflation_basis(np.ones(d.k + 1))
-    a_settled = w.T @ jacobian_on_gamma(kind, 1.0) @ w
-    w0 = w[0]
-    row = jacobian_on_gamma(kind, 0.0)[0] @ w
-    delta, _ = delta_matrix(d)
-    delta_w = w.T @ delta @ w
+    big_b, a_settled, w0, row, delta_w = _deflated_drift_pieces(d)
 
     def phi2(x0):
         x0 = np.asarray(x0, dtype=float)
@@ -330,6 +343,69 @@ def lyapunov_drift_fn(d):
             s = solve_lyapunov(a_settled + one_minus * np.outer(w0, row),
                                2.0 * one_minus / (big_b * one_minus + 1.0) * delta_w)
             out[idx] = drift_bound(big_b, x) - w0 @ s @ w0
+        return out if out.ndim else out[()]
+
+    return phi2
+
+
+def batched_drift_fn(d):
+    """``lyapunov_drift_fn``'s phi''(x0), exact, batched over x0 by a rank-one
+    update of one Lyapunov operator.
+
+    A(x0) = A_1 + s w_0 row^T (``_deflated_drift_pieces``), so with
+    L_1(S) = A_1^T S + S A_1 and q = S w_0 the deflated equation reads
+    L_1(S) + s (row q^T + q row^T) = c Delta_W, whence
+    S = c S_C - s sum_j q_j M_j with S_C = L_1^{-1}(Delta_W) and
+    M_j = L_1^{-1}(row e_j^T + e_j row^T).  Multiplying by w_0 leaves the
+    K x K capacitance system (I + s G) q = c a, a = S_C w_0, G[:, j] = M_j w_0
+    (Bartels & Stewart, CACM 15(9), 1972; Hager, SIAM Review 31(2), 1989).
+    One Schur factorisation of A_1 and K + 1 triangular solves are made once
+    per distribution; each x0 then costs one K x K solve, batched over all
+    points, and phi''(x0) = drift_bound(B, x0) - w_0^T q.
+
+    Every point is checked against the full equation, as the direct solve
+    checks it: with R_C and R_j the residuals of the K + 1 base solves, the
+    residual of A(x0)^T S + S A(x0) = c Delta_W is at most
+    c |R_C| + s sum_j |q_j| |R_j| + 2 s |row| |(I + s G) q - c a| (max
+    norms; the last one is bounded in turn by the sum of the defect's
+    entries), and a point whose bound exceeds 1e-8 max(1, c |Delta_W|), the
+    direct solve's tolerance, raises SingularSystem, as does a failed
+    factorisation or triangular solve, or a singular capacitance matrix.
+    """
+    big_b, a_settled, w0, row, delta_w = _deflated_drift_pieces(d)
+    k = d.k
+    eye = np.eye(k)
+    t, z = schur_form(a_settled)
+    sym = row[None, :, None] * eye[:, None, :]  # sym[j] = row e_j^T
+    rhs = np.concatenate([delta_w[None], sym + sym.transpose(0, 2, 1)])
+    base = np.array([solve_lyapunov_schur(t, z, q) for q in rhs])
+    base_res = np.max(np.abs(a_settled.T @ base + base @ a_settled - rhs), axis=(1, 2))
+    res_c, res_m = base_res[0], base_res[1:]
+    a = (base[0] @ w0)[:, None]
+    g = (base[1:] @ w0).T
+    # weights of |q_j| and of the capacitance defect in the residual bound
+    weights = np.concatenate([res_m, np.full(k, 2.0 * np.max(np.abs(row)))])[None]
+    delta_max = np.max(np.abs(delta_w))
+
+    def phi2(x0):
+        x0 = np.asarray(x0, dtype=float)
+        s = 1.0 - x0.reshape(-1, 1, 1)
+        c = 2.0 * s / (big_b * s + 1.0)
+        cap = eye + s * g
+        ca = c * a
+        try:
+            q = np.linalg.solve(cap, ca)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"capacitance matrix I + s G singular ({exc})") from None
+        # the sum of the defect's entries bounds their maximum
+        terms = np.abs(np.concatenate((q, cap @ q - ca), axis=1))
+        abs_c = np.abs(c)
+        bound = abs_c * res_c + np.abs(s) * (weights @ terms)
+        worst = (bound / np.maximum(1.0, delta_max * abs_c)).max(initial=0.0)
+        if not worst <= 1e-8:
+            raise SingularSystem(f"Lyapunov residual bound {worst:.3g} max(1, c |Q|) is "
+                                 "above the tolerance 1e-8 max(1, c |Q|), Q = Delta_W")
+        out = drift_bound(big_b, x0) - (w0 @ q).reshape(x0.shape)
         return out if out.ndim else out[()]
 
     return phi2

@@ -99,6 +99,19 @@ def test_g_plot_explicit_distribution(tmp_path):
     assert rc == 0
     _, data = load_csv(out)
     assert data.size == 5
+    # --b overrides --B: one block per xi, labelled with the bank's own mean
+    # time (0.5 for b = (0.5, 0.5)), whatever --B lists
+    rc, out = run(tmp_path, "gb2.csv", ["g-plot", "--xi", "1.0", "--B", "0.1,2",
+                                        "--steps", "3", "--b", "0.5,0.5"])
+    assert rc == 0
+    _, data = load_csv(out)
+    np.testing.assert_array_equal(data["B"], [0.5] * 3)
+    np.testing.assert_array_equal(data["rho0"], [0.0, 0.5, 1.0])
+    rc, out = run(tmp_path, "gb3.csv", ["g-plot", "--xi", "1.0,0.8", "--B", "0.1,2",
+                                        "--steps", "3", "--b", "0.5,0.5"])
+    _, both = load_csv(out)
+    np.testing.assert_array_equal(both["xi"], [1.0] * 3 + [0.8] * 3)
+    np.testing.assert_array_equal(both["g"][:3], data["g"])
 
 
 def test_h_contour(tmp_path):

@@ -14,6 +14,7 @@ from seedbank import (
     kolmogorov_fixation,
     psi,
     psi_cap,
+    run_fixation,
     sample_absorption,
     scale_closed_form,
     scale_fixation,
@@ -431,6 +432,35 @@ def test_sample_absorption_pinned_counts(max_time, counts):
     assert got == counts
 
 
+@pytest.mark.parametrize("b, wf_seed, em_seed", [
+    ([0.5] + [0.1] * 5, 201, 101),
+    ([0.05] + [0.19] * 5, 202, 102),
+], ids=["K5-b0.5", "K5-b0.05"])
+def test_deep_bank_three_way_cross_check(b, wf_seed, em_seed):
+    # K = 5, N = 200, start 0.2: the discrete chain, Euler-Maruyama on the
+    # constant pair and the scale function agree within 4 se + 5/N (the
+    # chain's O(1/N) bias) plus 0.01 for the Euler-Maruyama dt bias.  Replicate
+    # counts and seeds were fixed before the first run.
+    d = validate_distribution(b)
+    n_pop, start = 200, 0.2
+    drift_vec, diff_vec = constant_coefficients_vec(d)
+    pred = scale_fixation(drift_vec, diff_vec, start)
+
+    est = run_fixation("constant", d, n_pop, start, 4096, 10**6, wf_seed)
+    assert est.censored_count == 0
+    fixed, lost, censored = sample_absorption(drift_vec, diff_vec, start, dt=5e-3,
+                                              seed=em_seed, replicates=800,
+                                              max_time=200.0)
+    assert censored == 0
+    p_em = fixed / (fixed + lost)
+    se_em = math.sqrt(p_em * (1.0 - p_em) / (fixed + lost))
+
+    assert abs(est.p_hat - pred) <= 4.0 * est.std_err + 5.0 / n_pop
+    assert abs(p_em - pred) <= 4.0 * se_em + 0.01
+    assert (abs(est.p_hat - p_em)
+            <= 4.0 * math.hypot(est.std_err, se_em) + 5.0 / n_pop + 0.01)
+
+
 def test_neutral_martingale_monte_carlo():
     drift_vec = lambda x: np.zeros_like(x)
     diff_vec = lambda x: np.sqrt(np.maximum(x * (1 - x), 0.0))
@@ -463,6 +493,18 @@ def test_g_function_zeros_and_signs():
     assert big.mean_time > b_c
     for rho in np.linspace(0.93, 0.99, 5):
         assert g_function(big, rho, xi_min) < 0
+
+
+def test_g_function_broadcasts_over_xi():
+    # an (m, 1) xi against n rho0 gives the m single-xi rows bit for bit
+    rhos = np.linspace(0.0, 1.0, 21)
+    xis = np.array([0.8, 1.0, 1.7])
+    for d in (validate_distribution([0.5, 0.3, 0.2]),
+              random_simplex(np.random.default_rng(89), 5)):
+        table = g_function(d, rhos, xis[:, None])
+        assert table.shape == (3, 21)
+        for xi, row in zip(xis, table):
+            np.testing.assert_array_equal(row, g_function(d, rhos, float(xi)))
 
 
 def test_pde_grid_validation():

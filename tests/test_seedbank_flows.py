@@ -28,9 +28,11 @@ from seedbank import (
     theta_g_closed,
     validate_distribution,
 )
-from seedbank.errors import UnsupportedK, ValidationError
+from seedbank import manifold_reduction, seedbank_flows
+from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
-from seedbank.seedbank_flows import left_eigvec_prime, lyapunov_drift_fn
+from seedbank.manifold_reduction import theta_integral
+from seedbank.seedbank_flows import batched_drift_fn, left_eigvec_prime, lyapunov_drift_fn
 from conftest import random_simplex
 
 
@@ -241,14 +243,114 @@ def test_lyapunov_drift_matches_generic_solve_deep():
 def test_drift_factor_accepts_arrays():
     rng = np.random.default_rng(61)
     xs = np.linspace(0.0, 1.0, 101)
-    for k in (1, 2, 4):
+    for k in (1, 2, 4, 6):
         d = random_simplex(rng, k)
         phi2 = drift_factor_fn(d)
         got = phi2(xs)
         each = np.array([phi2(float(x)) for x in xs])
         assert got.shape == xs.shape
         np.testing.assert_allclose(got, each, rtol=1e-14, atol=0.0)
+        grid = phi2(xs.reshape(1, 101, 1))
+        assert grid.shape == (1, 101, 1)
+        np.testing.assert_allclose(grid.ravel(), each, rtol=1e-14, atol=0.0)
         assert np.ndim(phi2(0.3)) == 0
+    assert phi2(np.array([])).shape == (0,)
+
+
+def even_bank(k, b0):
+    """Depth-k bank with b0 now and the rest split evenly over 1..k."""
+    return validate_distribution([b0] + [(1.0 - b0) / k] * k)
+
+
+def phi2_oracle(d, x0):
+    """phi''(x0) with Theta from the theta_integral quadrature, not a solve."""
+    kind = FlowKind("constant", d)
+    u, v = eigvecs_on_gamma(kind, x0)
+    _, p_s = projections(u, v)
+    delta, _ = delta_matrix(d)
+    hess = [2.0 * (1.0 - x0) * delta] + [np.zeros_like(delta)] * d.k
+    theta = theta_integral(jacobian_on_gamma(kind, x0), hess, v, p_s)
+    return drift_bound(d.mean_time, x0) - theta[0, 0]
+
+
+@pytest.mark.parametrize("d, xs", [
+    (even_bank(5, 0.05), (0.0, 0.37, 0.95)),
+    (random_simplex(np.random.default_rng(5), 5), (0.0, 0.37, 0.95)),
+    (even_bank(20, 0.02), (0.0, 0.37, 0.95)),
+    (random_simplex(np.random.default_rng(20), 20), (0.0, 0.37)),
+    (even_bank(50, 0.05), (0.0, 0.37)),  # B = 24.2
+], ids=["K5-b0.05", "K5-random", "K20-b0.02", "K20-random", "K50-b0.05"])
+def test_batched_drift_matches_theta_integral(d, xs):
+    got = batched_drift_fn(d)(np.array(xs))
+    for x0, val in zip(xs, got):
+        want = phi2_oracle(d, x0)
+        assert abs(val - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def test_batched_drift_matches_direct_solve():
+    rng = np.random.default_rng(67)
+    xs = np.linspace(0.0, 1.0, 201)
+    for d in (random_simplex(rng, 3), random_simplex(rng, 5), even_bank(5, 0.05),
+              random_simplex(rng, 20), even_bank(20, 0.02)):
+        got = batched_drift_fn(d)(xs)
+        want = lyapunov_drift_fn(d)(xs)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[-1] == pytest.approx(2.0 * d.mean_time, rel=1e-15)
+
+
+def test_batched_drift_residual_check_catches_bad_base_solve(monkeypatch):
+    # a base solve off by 1e-6 violates the full equation wherever its
+    # coefficient c = 2 (1 - x0) / (B (1 - x0) + 1) is non-zero
+    d = random_simplex(np.random.default_rng(73), 5)
+    solve = seedbank_flows.solve_lyapunov_schur
+
+    def off(t, z, q):
+        return solve(t, z, q) + 1e-6
+
+    monkeypatch.setattr(seedbank_flows, "solve_lyapunov_schur", off)
+    phi2 = batched_drift_fn(d)
+    with pytest.raises(SingularSystem):
+        phi2(np.array([0.2, 0.5]))
+    with pytest.raises(SingularSystem):
+        phi2(0.9)
+    assert phi2(1.0) == drift_bound(d.mean_time, 1.0)  # c = s = 0: nothing to check
+
+
+def test_batched_drift_residual_check_catches_bad_capacitance_solve(monkeypatch):
+    d = random_simplex(np.random.default_rng(79), 5)
+    phi2 = batched_drift_fn(d)
+    phi2(0.5)  # sound before the mutation
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(SingularSystem):
+        phi2(0.5)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSystem):
+        phi2(0.5)
+
+
+def test_batched_drift_failed_factorisations_are_typed(monkeypatch):
+    d = random_simplex(np.random.default_rng(83), 4)
+    lapack = manifold_reduction.lapack
+    gees, trsyl = lapack.dgees, lapack.dtrsyl
+
+    def failed_gees(*args, **kwargs):
+        return gees(*args, **kwargs)[:-1] + (1,)
+
+    def failed_trsyl(*args, **kwargs):
+        return trsyl(*args, **kwargs)[:-1] + (1,)
+
+    monkeypatch.setattr(lapack, "dgees", failed_gees)
+    with pytest.raises(SingularSystem):
+        batched_drift_fn(d)
+    monkeypatch.setattr(lapack, "dgees", gees)
+    monkeypatch.setattr(lapack, "dtrsyl", failed_trsyl)
+    with pytest.raises(SingularSystem):
+        batched_drift_fn(d)
 
 
 def test_drift_strictly_increasing():
