@@ -76,7 +76,13 @@ def _parse_floats(text):
         raise ValidationError(f"could not parse list {text!r}") from exc
 
 
+def _check_count(name, value):
+    if value < 1:
+        raise ValidationError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_psi_curve(args):
+    _check_count("steps", args.steps)
     b_values = _parse_floats(args.B)
     params = {"B": args.B, "ymax": args.ymax, "steps": args.steps}
     lines = _csv_header("psi-curve", params, args.seed)
@@ -91,6 +97,7 @@ def cmd_psi_curve(args):
 
 
 def cmd_drift_surface(args):
+    _check_count("grid", args.grid)
     params = {"grid": args.grid}
     lines = _csv_header("drift-surface", params, args.seed)
     lines.append("b0,x0,d2phi0_dx02")
@@ -104,6 +111,7 @@ def cmd_drift_surface(args):
 
 
 def cmd_fixation_heatmap(args):
+    _check_count("grid", args.grid)
     params = {"grid": args.grid, "y": args.y}
     lines = _csv_header("fixation-heatmap", params, args.seed)
     lines.append("b0,q,fixation,psi_bound,difference")
@@ -126,6 +134,7 @@ def cmd_fixation_heatmap(args):
 
 
 def cmd_fixation_vs_b0(args):
+    _check_count("steps", args.steps)
     xi_infs = _parse_floats(args.xi_inf)
     params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
     lines = _csv_header("fixation-vs-b0", params, args.seed)
@@ -141,7 +150,10 @@ def cmd_fixation_vs_b0(args):
 
 
 def cmd_g_plot(args):
+    _check_count("steps", args.steps)
     xis = np.array(_parse_floats(args.xi))
+    if not np.all((xis > 0.0) & np.isfinite(xis)):
+        raise ValidationError("xi values must be positive and finite")
     params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
     lines = _csv_header("g-plot", params, args.seed)
     lines.append("xi,B,rho0,g")
@@ -168,6 +180,7 @@ def cmd_g_plot(args):
 
 
 def cmd_h_contour(args):
+    _check_count("grid", args.grid)
     params = {"grid": args.grid}
     lines = _csv_header("h-contour", params, args.seed)
     lines.append("x0,b0,h")

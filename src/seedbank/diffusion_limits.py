@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.linalg.lapack import dgtsv
 
 from .branching_phase import psi
 from .core_model import GerminationDistribution
@@ -443,19 +442,23 @@ class PdeGrid:
 def _pde_operator_rows(mu, half_sig2, h):
     """Tridiagonal rows (sub, diag, super) of the discrete generator at the
     interior nodes, with upwinding of the advection when the cell Peclet
-    number exceeds 2."""
+    number |mu| h / (sigma^2 / 2) exceeds 2 (infinite where sigma^2 = 0).
+
+    The central rows are built for every node and overwritten at the
+    upwinded ones only.  The Peclet test is made as |mu| h > sigma^2, without
+    the division: for floats the two comparisons agree exactly.
+    """
     a = half_sig2 / h**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        peclet = np.where(half_sig2 > 0, np.abs(mu) * h / half_sig2, np.inf)
-    upwind = peclet > 2.0
-    forward = mu > 0
-    mu_h = mu / h
     mu_2h = mu / (2.0 * h)
-    diffusive = -2.0 * a
-    sub = np.where(upwind, np.where(forward, a, a - mu_h), a - mu_2h)
-    diag = np.where(upwind, np.where(forward, diffusive - mu_h, diffusive + mu_h),
-                    diffusive)
-    sup = np.where(upwind, np.where(forward, a + mu_h, a), a + mu_2h)
+    sub, diag, sup = a - mu_2h, -2.0 * a, a + mu_2h
+    upwind = ~(half_sig2 > 0) | (np.abs(mu) * h > 2.0 * half_sig2)
+    if upwind.any():
+        a_up, mu_up = a[upwind], mu[upwind]
+        forward, mu_h = mu_up > 0, mu_up / h
+        diffusive = -2.0 * a_up
+        sub[upwind] = np.where(forward, a_up, a_up - mu_h)
+        diag[upwind] = np.where(forward, diffusive - mu_h, diffusive + mu_h)
+        sup[upwind] = np.where(forward, a_up + mu_h, a_up)
     return sub, diag, sup
 
 
@@ -466,15 +469,15 @@ def logistic_xi(r, xi_inf, t):
     return out.item() if out.ndim == 0 else out
 
 
-def _solve_tridiag_blocks(sub, diag, sup, rhs):
+def _solve_tridiag_blocks(dgtsv, sub, diag, sup, rhs):
     """Solve one tridiagonal system per row of the (m, L) arrays.
 
     The m systems are stacked end to end into one block-diagonal system of
-    size m L and solved by a single LAPACK ``dgtsv`` call.  The coupling
-    entries between blocks are zero, and a zero coupling contributes exact
-    zeros to the elimination, so each block's solution is bit for bit the
-    one a separate solve would give.  ``sub[:, 0]`` and ``sup[:, -1]`` are
-    ignored.
+    size m L and solved by a single call of LAPACK's ``dgtsv``, which the
+    caller passes in.  The coupling entries between blocks are zero, and a
+    zero coupling contributes exact zeros to the elimination, so each block's
+    solution is bit for bit the one a separate solve would give.
+    ``sub[:, 0]`` and ``sup[:, -1]`` are ignored.
     """
     size = diag.shape[1]
     dl = sub.ravel()[1:].copy()
@@ -559,6 +562,8 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     if not np.all((starts > 0.0) & (starts < 1.0)):
         raise ValidationError("start_rho must lie in (0, 1)")
     n_steps = _settle_steps(r, xi_inf, grid.dt)
+    # deferred: scipy.linalg is slow to import; resolved once, not per step
+    from scipy.linalg.lapack import dgtsv
 
     # (batch, interior node) arrays
     big_b = np.array([[di.mean_time] for di in ds])
@@ -581,7 +586,7 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     u[:, -1] = 1.0  # Dirichlet u(0) = 0, u(1) = 1
     rhs = np.zeros_like(diag)
     rhs[:, -1] = -sup[:, -1]
-    u[:, 1:-1] = _solve_tridiag_blocks(sub, diag, sup, rhs)
+    u[:, 1:-1] = _solve_tridiag_blocks(dgtsv, sub, diag, sup, rhs)
 
     # march backward from the settle time t_switch to 0 with Crank-Nicolson.
     # t_switch is dt summed n_steps times, rounded at each addition; n_steps * dt
@@ -599,7 +604,8 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
         rhs = v + lam * (sub * u[:, :-2] + diag * v + sup * u[:, 2:])
         # implicit half: (I - lam L) u_new = rhs, u(1) = 1 folded in
         rhs[:, -1] += lam * sup[:, -1]
-        u[:, 1:-1] = _solve_tridiag_blocks(-lam * sub, 1.0 - lam * diag, -lam * sup, rhs)
+        u[:, 1:-1] = _solve_tridiag_blocks(dgtsv, -lam * sub, 1.0 - lam * diag,
+                                           -lam * sup, rhs)
 
     out = np.array([np.interp(s, rho, row) for s, row in zip(starts.reshape(-1), u)])
     return float(out[0]) if single else out

@@ -17,7 +17,6 @@ with the remaining spectrum strictly stable, this module computes:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, lapack
 
 from .errors import (
     DomainViolation,
@@ -242,6 +241,8 @@ def _no_sort(wr, wi):
 def schur_form(a):
     """Real Schur form A = Z T Z^T (LAPACK gees) as (T, Z); raises
     SingularSystem when the factorisation fails."""
+    from scipy.linalg import lapack  # deferred: scipy.linalg is slow to import
+
     t, _, _, _, z, _, info = lapack.dgees(_no_sort, a)
     if info != 0:
         raise SingularSystem(f"Schur factorisation failed (gees info {info})")
@@ -253,6 +254,8 @@ def solve_lyapunov_schur(t, z, q):
     residual check: the quasi-triangular Sylvester equation
     T^T Y + Y T = Z^T Q Z (LAPACK trsyl), S = Z Y Z^T.  Raises SingularSystem
     when two eigenvalues of A (nearly) sum to zero."""
+    from scipy.linalg import lapack  # deferred: scipy.linalg is slow to import
+
     y, scale, info = lapack.dtrsyl(t, t, z.T @ q @ z, trana="T")
     if info != 0:
         raise SingularSystem(
@@ -301,6 +304,8 @@ def theta_integral(j, hessians, v, p_s, t_max=20.0, quad_step=0.005):
     repeated multiplication with one precomputed step exponential.  t_max is
     doubled until the integrand's max-norm at the endpoint drops below 1e-12.
     """
+    from scipy.linalg import expm  # deferred: scipy.linalg is slow to import
+
     j = np.asarray(j, dtype=float)
     c_mat = lyapunov_rhs(hessians, v, p_s)
     if np.max(np.abs(c_mat)) == 0.0:

@@ -21,7 +21,6 @@ scheduling and thread count, and the environment channel never perturbs the
 genetic channel.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -322,6 +321,9 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
                           max_generations, env=env, fenv=fenv, xi0=xi0)
 
     if threads > 1:
+        # deferred: concurrent.futures imports logging
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, blocks))
     else:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seedbank
 from seedbank.cli import main
 
 
@@ -178,6 +183,18 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 2
     capsys.readouterr()
 
+    # grid and step counts below 1, and population sizes that are not positive
+    for bad in (["drift-surface", "--grid", "-1"], ["psi-curve", "--steps", "-2"],
+                ["psi-curve", "--steps", "0"], ["fixation-heatmap", "--grid", "-3"],
+                ["h-contour", "--grid", "0"], ["g-plot", "--steps", "0"],
+                ["fixation-vs-b0", "--steps", "0"], ["g-plot", "--xi", "-1"],
+                ["g-plot", "--xi", "0.8,0"], ["g-plot", "--xi", "inf"],
+                ["g-plot", "--xi", "nan"]):
+        rc = main(bad + ["--out", str(tmp_path / "bad.csv")])
+        assert rc == 2, bad
+        assert not (tmp_path / "bad.csv").exists()
+        assert capsys.readouterr().err.startswith("error: "), bad
+
     # only mc-compare runs Monte Carlo, so only it takes --threads
     with pytest.raises(SystemExit) as exc:
         main(["psi-curve", "--threads", "2"])
@@ -195,3 +212,50 @@ def test_exit_codes(tmp_path, capsys):
                "--steps", "1", "--out", str(tmp_path / "stuck.csv")])
     assert rc == 3
     capsys.readouterr()
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    seedbank; returns the JSON value its last stdout line prints."""
+    env = dict(os.environ)
+    src = str(Path(seedbank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cold_start_leaves_scipy_unloaded(tmp_path):
+    # the subcommands that never call LAPACK, at K <= 2, never import scipy
+    out = str(tmp_path / "out")
+    code = f"""
+import json, sys
+from seedbank.cli import main
+runs = [
+    ["psi-curve", "--B", "0,1", "--steps", "10"],
+    ["h-contour", "--grid", "5"],
+    ["g-plot", "--B", "0.5", "--steps", "11"],
+    ["fixation-heatmap", "--grid", "3"],
+    ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "50",
+     "--start", "0.2", "--replicates", "200", "--seed", "1"],
+    ["mc-compare", "--regime", "fast", "--b", "0.5,0.5", "--N", "50",
+     "--start", "0.2", "--replicates", "200", "--seed", "1"],
+]
+codes = [main(argv + ["--out", {out!r}]) for argv in runs]
+print(json.dumps([codes, "scipy" in sys.modules]))
+"""
+    assert run_fresh(code) == [[0] * 6, False]
+
+
+def test_cold_start_loads_scipy_on_demand(tmp_path):
+    out = str(tmp_path / "out")
+    code = f"""
+import json, sys
+from seedbank.cli import main
+spec = '{{"tag": "constant", "b": [0.5, 0.5], "x0": 0.3}}'
+codes = [main(["fixation-vs-b0", "--xi-inf", "0.8", "--steps", "2",
+               "--out", {out!r}]),
+         main(["reduce", "--spec", spec, "--out", {out!r}])]
+print(json.dumps([codes, "scipy" in sys.modules]))
+"""
+    assert run_fresh(code) == [[0, 0], True]

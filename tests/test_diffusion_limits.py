@@ -543,6 +543,14 @@ def test_pde_operator_rows_match_per_node_loop():
         for got, want in zip(_pde_operator_rows(mu, half_sig2, 0.005),
                              loop_operator_rows(mu, half_sig2, 0.005)):
             np.testing.assert_array_equal(got, want)
+    # Peclet numbers at 2 and one ulp of mu either side of it
+    half_sig2 = np.repeat(np.abs(rng.standard_normal(200)) + 1e-3, 3)
+    at_two = 2.0 * half_sig2[::3] / 0.005
+    mu = np.stack([np.nextafter(at_two, 0.0), at_two, np.nextafter(at_two, np.inf)], 1)
+    mu = mu.ravel() * np.repeat(rng.choice([-1.0, 1.0], 200), 3)
+    for got, want in zip(_pde_operator_rows(mu, half_sig2, 0.005),
+                         loop_operator_rows(mu, half_sig2, 0.005)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_logistic_xi():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from seedbank import (
     FlowKind,
@@ -28,7 +29,7 @@ from seedbank import (
     theta_g_closed,
     validate_distribution,
 )
-from seedbank import manifold_reduction, seedbank_flows
+from seedbank import seedbank_flows
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
@@ -334,8 +335,9 @@ def test_batched_drift_residual_check_catches_bad_capacitance_solve(monkeypatch)
 
 
 def test_batched_drift_failed_factorisations_are_typed(monkeypatch):
+    # the Schur helpers look lapack's routines up at call time, so patching
+    # the module's attributes reaches them
     d = random_simplex(np.random.default_rng(83), 4)
-    lapack = manifold_reduction.lapack
     gees, trsyl = lapack.dgees, lapack.dtrsyl
 
     def failed_gees(*args, **kwargs):
