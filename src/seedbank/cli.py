@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error (bad inputs), 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,13 +85,15 @@ def _check_count(name, value):
 def cmd_psi_curve(args):
     _check_count("steps", args.steps)
     b_values = _parse_floats(args.B)
+    if not all(0.0 <= big_b < math.inf for big_b in b_values):
+        raise ValidationError("B values must be non-negative and finite")
+    if not 0.0 < args.ymax < math.inf:
+        raise ValidationError(f"--ymax must be positive and finite, got {args.ymax}")
     params = {"B": args.B, "ymax": args.ymax, "steps": args.steps}
     lines = _csv_header("psi-curve", params, args.seed)
     lines.append("B,y,psi")
     ys = np.linspace(0.0, args.ymax, args.steps + 1)
     for big_b in b_values:
-        if big_b < 0:
-            raise ValidationError("B values must be non-negative")
         for y in ys:
             lines.append(f"{_fmt(big_b)},{_fmt(float(y))},{_fmt(psi(big_b, float(y)))}")
     _emit(args.out, lines)

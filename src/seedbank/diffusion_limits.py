@@ -14,6 +14,7 @@ logistic-environment fixation probability.
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -238,10 +239,19 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     """Vectorized absorption sampling for a 1-D diffusion on [0, 1].
 
     ``drift_vec`` and ``diff_vec`` map an array of states to arrays of
-    coefficients.  Returns (fixed, lost, censored) replicate counts.
+    coefficients.  A replicate is lost below 1e-9 and fixed above 1 - 1e-9,
+    and dropped on the step it gets there: the replicates that go on lie in
+    [1e-9, 1 - 1e-9], so no step needs clipping into [0, 1].  Returns
+    (fixed, lost, censored) replicate counts.
     """
     if not dt > 0:
         raise StepSizeInvalid(f"invalid step dt={dt}")
+    if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
+        raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
+    if not 0.0 < max_time < math.inf:
+        raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
+    if not 0.0 <= start <= 1.0:
+        raise ValidationError(f"start {start!r} outside [0, 1]")
     rng = np.random.default_rng(seed)
     y = np.full(replicates, float(start))  # live replicates only, order kept
     fixed = lost = 0
@@ -250,16 +260,14 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     for _ in range(n_steps):
         if not y.size:
             break
-        y = np.clip(
-            y + drift_vec(y) * dt + diff_vec(y) * sqrt_dt * rng.standard_normal(y.size),
-            0.0,
-            1.0,
-        )
+        y = y + drift_vec(y) * dt + diff_vec(y) * sqrt_dt * rng.standard_normal(y.size)
         hit_lost = y < 1e-9
         hit_fixed = y > 1.0 - 1e-9
-        lost += int(hit_lost.sum())
-        fixed += int(hit_fixed.sum())
-        y = y[~(hit_lost | hit_fixed)]
+        done = hit_lost | hit_fixed
+        if done.any():
+            lost += int(np.count_nonzero(hit_lost))
+            fixed += int(np.count_nonzero(hit_fixed))
+            y = y[~done]
     return fixed, lost, y.size
 
 

@@ -14,6 +14,7 @@ with the remaining spectrum strictly stable, this module computes:
 * Phi itself by direct ODE integration, used as an independent oracle.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,12 +239,19 @@ def _no_sort(wr, wi):
     return 0
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call only: scipy.linalg is
+    slow to import, and a function-level import costs about 0.6 us per call."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def schur_form(a):
     """Real Schur form A = Z T Z^T (LAPACK gees) as (T, Z); raises
     SingularSystem when the factorisation fails."""
-    from scipy.linalg import lapack  # deferred: scipy.linalg is slow to import
-
-    t, _, _, _, z, _, info = lapack.dgees(_no_sort, a)
+    t, _, _, _, z, _, info = _lapack().dgees(_no_sort, a)
     if info != 0:
         raise SingularSystem(f"Schur factorisation failed (gees info {info})")
     return t, z
@@ -254,9 +262,7 @@ def solve_lyapunov_schur(t, z, q):
     residual check: the quasi-triangular Sylvester equation
     T^T Y + Y T = Z^T Q Z (LAPACK trsyl), S = Z Y Z^T.  Raises SingularSystem
     when two eigenvalues of A (nearly) sum to zero."""
-    from scipy.linalg import lapack  # deferred: scipy.linalg is slow to import
-
-    y, scale, info = lapack.dtrsyl(t, t, z.T @ q @ z, trana="T")
+    y, scale, info = _lapack().dtrsyl(t, t, z.T @ q @ z, trana="T")
     if info != 0:
         raise SingularSystem(
             f"Lyapunov operator singular: eigenvalues of A sum to ~0 (trsyl info {info})"

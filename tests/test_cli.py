@@ -189,7 +189,10 @@ def test_exit_codes(tmp_path, capsys):
                 ["h-contour", "--grid", "0"], ["g-plot", "--steps", "0"],
                 ["fixation-vs-b0", "--steps", "0"], ["g-plot", "--xi", "-1"],
                 ["g-plot", "--xi", "0.8,0"], ["g-plot", "--xi", "inf"],
-                ["g-plot", "--xi", "nan"]):
+                ["g-plot", "--xi", "nan"], ["psi-curve", "--B", "nan"],
+                ["psi-curve", "--B", "0,inf"], ["psi-curve", "--ymax", "-1"],
+                ["psi-curve", "--ymax", "0"], ["psi-curve", "--ymax", "nan"],
+                ["psi-curve", "--ymax", "inf"]):
         rc = main(bad + ["--out", str(tmp_path / "bad.csv")])
         assert rc == 2, bad
         assert not (tmp_path / "bad.csv").exists()

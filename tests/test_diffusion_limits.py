@@ -432,6 +432,28 @@ def test_sample_absorption_pinned_counts(max_time, counts):
     assert got == counts
 
 
+def test_sample_absorption_pinned_counts_deep_bank():
+    # K = 5 (phi'' from the batched Lyapunov solve), every replicate absorbed:
+    # the step loop's tail, with few live rows, pinned draw for draw
+    drift_vec, diff_vec = constant_coefficients_vec(
+        validate_distribution([0.4, 0.2, 0.15, 0.1, 0.1, 0.05]))
+    got = sample_absorption(drift_vec, diff_vec, 0.3, dt=5e-3, seed=3, replicates=200,
+                            max_time=200.0)
+    assert got == (97, 103, 0)
+
+
+def test_sample_absorption_input_checks():
+    drift_vec, diff_vec = constant_coefficients_vec(validate_distribution([0.5, 0.5]))
+    good = dict(start=0.3, dt=5e-3, seed=1, replicates=100, max_time=1.0)
+    for bad in (dict(replicates=0), dict(replicates=2.5), dict(replicates=True),
+                dict(max_time=math.nan), dict(max_time=-1.0), dict(max_time=math.inf),
+                dict(start=1.5), dict(start=-0.1), dict(start=math.nan)):
+        with pytest.raises(ValidationError):
+            sample_absorption(drift_vec, diff_vec, **{**good, **bad})
+    with pytest.raises(StepSizeInvalid):
+        sample_absorption(drift_vec, diff_vec, **{**good, "dt": math.nan})
+
+
 @pytest.mark.parametrize("b, wf_seed, em_seed", [
     ([0.5] + [0.1] * 5, 201, 101),
     ([0.05] + [0.19] * 5, 202, 102),

@@ -7,7 +7,9 @@ from seedbank import FastEnvSpec, validate_distribution
 from seedbank.diffusion_limits import logistic_xi
 from seedbank.errors import BoundaryConditionViolated, ValidationError
 from seedbank.wf_simulators import (
+    SCALAR_ROWS,
     EnvProcess,
+    _binomial,
     make_env_process,
     run_fixation,
     step_constant,
@@ -366,8 +368,75 @@ def test_run_fixation_pinned_counts(regime, extra, counts):
     assert (est.fixed_count, est.lost_count, est.censored_count) == counts
 
 
+_TAIL_FENV = FastEnvSpec(p=0.25, s=1.0)
+
+
+@pytest.mark.parametrize(
+    "regime, b, extra, max_generations, counts",
+    [
+        ("constant", [0.6, 0.4], {}, 10**6, (54, 146, 0)),
+        ("constant", DEEP_B, {}, 10**6, (74, 126, 0)),
+        ("constant", DEEP_B, {}, 400, (60, 113, 27)),
+        (
+            "slow",
+            [0.5, 0.3, 0.2],
+            {
+                "env": make_env_process(
+                    "deterministic_logistic", 0.5, 2.0, 60, r=2.0, xi_inf=0.8
+                ),
+                "xi0": 1.0,
+            },
+            10**6,
+            (58, 142, 0),
+        ),
+        (
+            "slow",
+            [0.5, 0.2, 0.2, 0.1],
+            {
+                "env": make_env_process(
+                    "reflected_walk", 0.5, 2.0, 60, alpha=lambda x: 1.0 - x,
+                    eta=lambda x: 0.5 * (x - 0.5) * (2.0 - x),
+                ),
+                "xi0": 1.0,
+            },
+            10**6,
+            (72, 128, 0),
+        ),
+        ("fast", [0.5, 0.3, 0.2], {"fenv": _TAIL_FENV}, 10**6, (71, 129, 0)),
+        ("fast", DEEP_B, {"fenv": _TAIL_FENV}, 10**6, (79, 121, 0)),
+    ],
+    ids=["constant-K1", "constant-K5", "constant-K5-censored", "slow-logistic",
+         "slow-reflected-walk", "fast-K2", "fast-K5"],
+)
+def test_run_fixation_pinned_tail_counts(regime, b, extra, max_generations, counts):
+    # 200 replicates run (nearly) to absorption, so most generations have only
+    # a handful of live rows: pins the draws of the small-block path
+    est = run_fixation(regime, validate_distribution(b), 60, 0.2, 200,
+                       max_generations, seed=11, **extra)
+    assert (est.fixed_count, est.lost_count, est.censored_count) == counts
+
+
 def _philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def test_scalar_and_array_binomial_draws_agree():
+    # the small-block path draws row by row with scalar arguments; numpy runs
+    # the same routine on the same stream for scalar and array arguments
+    p = np.array([0.0, 1.0, 1e-300, 0.3, 0.5, 0.5000001, 0.97, 1.0 - 1e-16, 0.0, 1.0])
+    n_rows = np.array([0, 7, 60, 60, 3, 1000, 60, 5, 9, 200], dtype=np.int64)
+    for n in (60, n_rows):
+        array_draws = _philox(8).binomial(n, p)
+        gen = _philox(8)
+        scalar_draws = [gen.binomial(m, q)
+                        for m, q in zip(np.broadcast_to(n, p.shape).tolist(), p.tolist())]
+        np.testing.assert_array_equal(array_draws, scalar_draws)
+        # both paths of the kernel's draw helper
+        assert 2 <= SCALAR_ROWS < p.size
+        for rows in (2, p.size):
+            np.testing.assert_array_equal(
+                _binomial(_philox(8), n if np.ndim(n) == 0 else n[:rows], p[:rows]),
+                array_draws[:rows])
 
 
 @pytest.mark.parametrize("b", [[0.6, 0.4], DEEP_B])
@@ -387,6 +456,9 @@ def test_step_block_equals_rows_from_one_stream(b):
     rows = [step_constant(row, d, n_pop, gen) for row in x]
     assert block.dtype == np.int64
     np.testing.assert_array_equal(block, rows)
+    # the memory layout of the input changes nothing
+    np.testing.assert_array_equal(step_constant(np.asfortranarray(x), d, n_pop, _philox(3)),
+                                  block)
 
     block = step_slow(x, xi_now, xi_next, d, n_pop, _philox(4))
     gen = _philox(4)
