@@ -7,6 +7,7 @@ germination time B = sum(i * b_i) is cached because it appears in nearly
 every closed-form expression.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -112,11 +113,12 @@ class SlowEnvSpec:
             raise ValidationError("xi_min must be positive")
         if not self.xi_max > self.xi_min:
             raise ValidationError("xi_max must exceed xi_min")
-        if self.alpha(self.xi_min) < 0:
+        # written so that a NaN fails each check
+        if not self.alpha(self.xi_min) >= 0:
             raise BoundaryConditionViolated("alpha(xi_min) must be >= 0")
-        if self.alpha(self.xi_max) > 0:
+        if not self.alpha(self.xi_max) <= 0:
             raise BoundaryConditionViolated("alpha(xi_max) must be <= 0")
-        if abs(self.eta(self.xi_min)) > 0 or abs(self.eta(self.xi_max)) > 0:
+        if not (self.eta(self.xi_min) == 0 and self.eta(self.xi_max) == 0):
             raise BoundaryConditionViolated("eta must vanish at xi_min and xi_max")
 
 
@@ -129,20 +131,30 @@ class FastEnvSpec:
     s_N = s / sqrt(N).
     """
 
+    # the marks in the order of ``mark_class``'s classes
+    MARKS = np.array([-1, 1, 0])
+
     p: float
     s: float
+    # (p, 2p): the uniforms that ``mark_class`` cuts at
+    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 0.5:
             raise ValidationError("p must lie in [0, 1/2]")
-        if not self.s > 0:
-            raise ValidationError("s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValidationError(f"s must be positive and finite, got {self.s!r}")
+        object.__setattr__(self, "cuts", np.array([self.p, 2 * self.p], dtype=float))
 
     def s_of_N(self, n):
         """Per-generation selection strength, clipped into [0, 1)."""
         return min(self.s / np.sqrt(n), 1.0 - 1e-12)
 
+    def mark_class(self, u):
+        """Index into ``MARKS`` of the mark each uniform ``u`` in [0, 1) draws:
+        u < p draws -1, p <= u < 2p draws +1, and the rest 0."""
+        return self.cuts.searchsorted(u, "right")
+
     def sample_marks(self, rng, size=None):
         """Draw marks from the three-point law {-1, 0, +1}."""
-        u = rng.random(size)
-        return np.where(u < self.p, -1, np.where(u < 2 * self.p, 1, 0))
+        return self.MARKS[self.mark_class(rng.random(size))]

@@ -8,9 +8,13 @@ they feed it (the mature sizes floor(xi N) of generations t and t+1, or the
 weights of the environment marks), so degenerate parameter choices are
 bit-identical to the constant regime under the same seed.
 
-A Monte Carlo block holds only the replicates still running, each with its own
-environment register (xi in the slow regime, the weights of the fresh and the
-last K marks in the fast regime).  Its counts are one float64 (R, K+1) array,
+A Monte Carlo block holds only the replicates still running.  Its environment
+costs what the process needs: the deterministic logistic slow regime draws
+nothing, so every replicate sees the same xi path and the block advances one
+Python float (and the mature sizes as Python ints); under the reflected walk
+each replicate follows its own path, one xi per row; the fast regime keeps
+per row the weights of the fresh and the last K marks, looked up in the
+three-entry table 1 + s_N * mark.  Its counts are one float64 (R, K+1) array,
 exact because counts stay far below 2**53, aged in place every generation; the
 binomial draw is the only integer array.  Rows are dropped, order kept, only on
 a generation that absorbed some of them.
@@ -28,6 +32,7 @@ scheduling and thread count, and the environment channel never perturbs the
 genetic channel.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from numbers import Integral
@@ -135,7 +140,10 @@ def _may_absorb(new, trials):
 
 
 def _mature_size(xi, n_pop):
-    """Mature population size floor(xi * N) of an environment value (or array)."""
+    """Mature population size floor(xi * N) of an environment value: a Python
+    int for a float ``xi`` (the same value as the array path), else int64."""
+    if isinstance(xi, float):
+        return math.floor(xi * n_pop)
     return np.floor(np.asarray(xi, dtype=float) * n_pop).astype(np.int64)
 
 
@@ -216,6 +224,9 @@ class EnvProcess(SlowEnvSpec):
         ``deterministic_logistic`` adds alpha(xi)/N and draws nothing;
         ``reflected_walk`` also adds +/- eta(xi)/sqrt(N), one independent
         fair sign per entry, and reflects the result into [xi_min, xi_max].
+        A float ``xi`` of the deterministic process steps to a Python float,
+        clamped without numpy: the same value as ``np.clip`` gives, at a
+        tenth of its cost.
         """
         new = xi + self.alpha(xi) / self.n_pop
         if self.kind == "reflected_walk":
@@ -223,6 +234,8 @@ class EnvProcess(SlowEnvSpec):
             new = new + sign * self.eta(xi) / np.sqrt(self.n_pop)
             new = np.where(new < self.xi_min, 2 * self.xi_min - new, new)
             new = np.where(new > self.xi_max, 2 * self.xi_max - new, new)
+        elif isinstance(new, float):
+            return float(min(max(new, self.xi_min), self.xi_max))
         return np.clip(new, self.xi_min, self.xi_max)
 
 
@@ -231,13 +244,18 @@ def make_env_process(kind, xi_min, xi_max, n_pop, r=None, xi_inf=None,
     """Build a concrete environment process.
 
     ``deterministic_logistic``: xi(t+1) = xi(t) + r xi (xi_inf - xi)/N, no
-    noise.  ``reflected_walk``: xi(t+1) = xi(t) + alpha(xi)/N +/- eta(xi)/sqrt(N)
-    with equal probability, reflected into [xi_min, xi_max]; ``alpha`` and
-    ``eta`` must accept arrays.
+    noise; ``r`` and ``xi_inf`` must be finite.  ``reflected_walk``: xi(t+1) =
+    xi(t) + alpha(xi)/N +/- eta(xi)/sqrt(N) with equal probability, reflected
+    into [xi_min, xi_max]; ``alpha`` and ``eta`` must accept arrays.
     """
     if kind == "deterministic_logistic":
         if r is None or xi_inf is None:
             raise ValidationError("deterministic_logistic needs r and xi_inf")
+        r, xi_inf = float(r), float(xi_inf)
+        if not (math.isfinite(r) and math.isfinite(xi_inf)):
+            raise ValidationError(
+                f"deterministic_logistic needs finite r and xi_inf, got r={r}, "
+                f"xi_inf={xi_inf}")
         alpha = lambda xi: r * xi * (xi_inf - xi)
         eta = lambda xi: 0.0
     elif kind == "reflected_walk" and (alpha is None or eta is None):
@@ -283,17 +301,18 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     trials_now = trials_next = n_pop
     # environment weights: all 1 (so b[1:] * w is b[1:]) but in the fast regime
     w0, bw = None, b[1:]
-    # one environment register per replicate, compacted together with x:
-    # xi in the slow regime; in the fast regime the weights 1 + s_N * mark of
-    # the fresh mark and the last K marks (mark 0 before the first generation)
+    # the environment (see the module docstring): xi and floor(xi N) in the
+    # slow regime, per row only under reflected_walk; in the fast regime the
+    # weights of the fresh and the last K marks per row (mark 0 before the
+    # first generation).  Per-row registers are compacted together with x
     if regime == "slow":
-        env_state = np.full(block_size, float(xi0))
-        trials_next = _mature_size(env_state, n_pop)
+        xi = float(xi0)
+        if env.kind != "deterministic_logistic":
+            xi = np.full(block_size, xi)
+        trials_next = _mature_size(xi, n_pop)
     elif regime == "fast":
-        env_state = np.ones((block_size, d.k + 1))
-        s_n = fenv.s_of_N(n_pop)
-    else:
-        env_state = np.empty((block_size, 0))
+        weights = np.ones((block_size, d.k + 1))
+        table = 1.0 + fenv.s_of_N(n_pop) * fenv.MARKS
     fixed = lost = 0
 
     for _ in range(max_generations):
@@ -302,11 +321,11 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
         if regime == "slow":
             # generation t's mature sizes are generation t-1's trials_next
             trials_now = trials_next
-            env_state = env.step(env_state, env_rng)
-            trials_next = _mature_size(env_state, n_pop)
+            xi = env.step(xi, env_rng)
+            trials_next = _mature_size(xi, n_pop)
         elif regime == "fast":
-            _age(env_state, 1.0 + s_n * fenv.sample_marks(env_rng, x.shape[0]))
-            w0, bw = env_state[:, 0], b[1:] * env_state[:, 1:]
+            _age(weights, table.take(fenv.mark_class(env_rng.random(x.shape[0]))))
+            w0, bw = weights[:, 0], b[1:] * weights[:, 1:]
 
         new = _generation(x, b, trials_now, trials_next, w0, bw, gen_rng)
         if type(new) is list and not _may_absorb(new, trials_next):
@@ -322,9 +341,11 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             lost += int(np.count_nonzero(hit_lost))
             keep = ~done
             # compress, not x[keep]: measured 3x faster on 1,024 rows of K+1
-            x, env_state = x.compress(keep, axis=0), env_state.compress(keep, axis=0)
-            if regime == "slow":
-                trials_next = trials_next.compress(keep)
+            x = x.compress(keep, axis=0)
+            if regime == "fast":
+                weights = weights.compress(keep, axis=0)
+            elif regime == "slow" and isinstance(xi, np.ndarray):
+                xi, trials_next = xi.compress(keep), trials_next.compress(keep)
     return fixed, lost, x.shape[0]
 
 
@@ -334,9 +355,10 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
 
     ``start`` is the initial mutant frequency; the initial state puts every
     seed-bank generation at round(start * N) (a point on the attractor
-    diagonal).  In the slow regime every replicate starts at ``xi0`` and
-    follows its own environment path.  Censored replicates are excluded from
-    p_hat and reported.
+    diagonal).  In the slow regime every replicate starts at ``xi0``; under
+    ``deterministic_logistic`` all follow the one path from there, under
+    ``reflected_walk`` each its own.  ``seed`` is an integer in [0, 2**64).
+    Censored replicates are excluded from p_hat and reported.
     """
     if regime not in ("constant", "slow", "fast"):
         raise ValidationError(f"unknown regime {regime!r}")
@@ -346,6 +368,8 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
             raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if replicates < 100:
         raise ValidationError("replicates must be at least 100")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if regime == "slow" and env is None:
         raise ValidationError("slow regime requires an environment process")
     if regime == "slow" and env.n_pop != n_pop:

@@ -178,6 +178,17 @@ def test_exit_codes(tmp_path, capsys):
                "--out", str(tmp_path / "mc.json")])
     assert rc == 2 and not (tmp_path / "mc.json").exists()
     capsys.readouterr()
+    # a master seed outside [0, 2**64) (once an OverflowError traceback), a NaN
+    # logistic rate (once numpy's "n < 0" mid-run) and an infinite fast-regime
+    # s (once exit 3 after the whole Monte Carlo) are rejected up front
+    mc += ["--N", "50", "--start", "0.2", "--out", str(tmp_path / "mc.json")]
+    for bad in (["--seed", "-1"], ["--seed", str(2**64)],
+                ["--regime", "slow", "--r", "nan"], ["--regime", "slow", "--xi-inf", "nan"],
+                ["--regime", "fast", "--s", "inf"]):
+        rc = main(mc + bad)
+        assert rc == 2, bad
+        assert not (tmp_path / "mc.json").exists()
+        assert capsys.readouterr().err.startswith("error: "), bad
 
     rc = main(["psi-curve", "--B", "0,-1", "--out", str(tmp_path / "bad.csv")])
     assert rc == 2

@@ -86,6 +86,13 @@ def test_slow_env_spec_boundaries():
         SlowEnvSpec(-1.0, 2.0, alpha=lambda x: 0.0, eta=lambda x: 0.0)
     with pytest.raises(ValidationError):
         SlowEnvSpec(2.0, 0.5, alpha=lambda x: 0.0, eta=lambda x: 0.0)
+    # a NaN at either end fails its check instead of passing it
+    nan = float("nan")
+    nan_at = lambda end, value: (lambda x: nan if x == end else value)
+    for alpha, eta in ((nan_at(0.5, 0.0), lambda x: 0.0), (nan_at(2.0, 0.0), lambda x: 0.0),
+                       (lambda x: 0.0, nan_at(0.5, 0.0)), (lambda x: 0.0, nan_at(2.0, 0.0))):
+        with pytest.raises(BoundaryConditionViolated):
+            SlowEnvSpec(0.5, 2.0, alpha=alpha, eta=eta)
 
 
 def test_fast_env_spec():
@@ -96,6 +103,10 @@ def test_fast_env_spec():
         FastEnvSpec(p=0.6, s=1.0)
     with pytest.raises(ValidationError):
         FastEnvSpec(p=0.1, s=0.0)
+    # 0 < s < inf: an infinite or NaN selection strength is bad input
+    for s in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            FastEnvSpec(p=0.1, s=s)
 
 
 def test_fast_env_mark_law():

@@ -10,6 +10,7 @@ from seedbank.wf_simulators import (
     SCALAR_ROWS,
     EnvProcess,
     _binomial,
+    _mature_size,
     make_env_process,
     run_fixation,
     step_constant,
@@ -173,6 +174,12 @@ def test_make_env_process_validation():
         make_env_process(
             "deterministic_logistic", 0.5, 2.0, 100, r=1.0, xi_inf=0.3
         )
+    # r and xi_inf must be finite: a NaN once passed every boundary check
+    for bad in ({"r": math.nan}, {"xi_inf": math.nan}, {"r": math.inf},
+                {"xi_inf": math.inf}, {"r": -math.inf}):
+        with pytest.raises(ValidationError, match="finite"):
+            make_env_process("deterministic_logistic", 0.5, 2.0, 100,
+                             **{"r": 1.0, "xi_inf": 1.5, **bad})
     # the box itself must be valid: 0 < xi_min < xi_max
     with pytest.raises(ValidationError):
         make_env_process(
@@ -193,6 +200,38 @@ def test_logistic_env_tracks_continuous_curve():
     for _ in range(n_pop):  # one unit of diffusion time
         xi = env.step(xi, rng)
     assert abs(xi - logistic_xi(r, xi_inf, 1.0)) < 5e-3
+
+
+# (N, r, xi_inf, xi0) on the box [0.5, 1.5]: a path inside the box, a path
+# that overshoots xi_max on its second step, one that undershoots xi_min on
+# its first
+_LOGISTIC_PATHS = [(300, 20.0, 0.8, 1.0), (30, 50.0, 1.5, 0.5), (30, 50.0, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("n_pop, r, xi_inf, xi0", _LOGISTIC_PATHS)
+def test_logistic_float_path_equals_array_path(n_pop, r, xi_inf, xi0):
+    # a Monte Carlo block advances one Python float xi and int floor(xi N)
+    # for the deterministic process; they must be the per-row array values
+    env = make_env_process("deterministic_logistic", 0.5, 1.5, n_pop, r=r, xi_inf=xi_inf)
+    rng = _philox(1)
+    xi, xs = float(xi0), np.full(3, float(xi0))
+    clamped = 0
+    for _ in range(10**4):
+        free = xi + env.alpha(xi) / n_pop
+        xi, xs = env.step(xi, rng), env.step(xs, rng)
+        trials, trials_rows = _mature_size(xi, n_pop), _mature_size(xs, n_pop)
+        assert type(xi) is float and type(trials) is int
+        assert (xs == xi).all() and (trials_rows == trials).all()
+        clamped += free != xi
+    # the process draws nothing
+    assert rng.random() == _philox(1).random()
+    if xi0 == 1.0:
+        assert clamped == 0
+    else:
+        # the clamp engages (and holds the path at the box's edge)
+        assert clamped >= 1 and xi in (0.5, 1.5)
+    # numpy scalars step to a Python float too
+    assert type(env.step(np.float64(xi0), rng)) is float
 
 
 def test_reflected_walk_moments_and_box():
@@ -259,6 +298,14 @@ def test_run_fixation_validation_and_edges():
     # numpy integers are integers
     est = run_fixation("constant", d, np.int64(100), 0.3, np.int64(200), 1000, seed=1)
     assert est == run_fixation("constant", d, 100, 0.3, 200, 1000, seed=1)
+
+    # the master seed is an integer in [0, 2**64): below or above that range
+    # it once raised OverflowError, and 1.5 once ran as seed 1
+    for seed in (-1, 2**64, 1.5, np.float64(1.0), True, "1", None):
+        with pytest.raises(ValidationError, match="seed"):
+            run_fixation("constant", d, 100, 0.3, 200, 1000, seed=seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert run_fixation("constant", d, 100, 0.3, 200, 1000, seed=seed).master_seed == seed
 
     est = run_fixation("constant", d, 100, 0.0, 200, 1000, seed=1)
     assert est.p_hat == 0.0 and est.lost_count == 200
@@ -416,8 +463,52 @@ def test_run_fixation_pinned_tail_counts(regime, b, extra, max_generations, coun
     assert (est.fixed_count, est.lost_count, est.censored_count) == counts
 
 
+@pytest.mark.parametrize(
+    "regime, extra, replicates, counts",
+    [
+        ("slow", {"env": make_env_process("deterministic_logistic", 0.5, 1.5, 30,
+                                          r=50.0, xi_inf=1.5), "xi0": 0.5},
+         5000, (2049, 2951, 0)),
+        ("slow", {"env": make_env_process("deterministic_logistic", 0.5, 1.5, 30,
+                                          r=50.0, xi_inf=1.5), "xi0": 0.5},
+         200, (70, 130, 0)),
+        ("fast", {"fenv": FastEnvSpec(p=0.0, s=1.0)}, 5000, (1393, 3607, 0)),
+        ("fast", {"fenv": FastEnvSpec(p=0.0, s=1.0)}, 200, (51, 149, 0)),
+        ("fast", {"fenv": FastEnvSpec(p=0.5, s=1.0)}, 5000, (2019, 2981, 0)),
+        ("fast", {"fenv": FastEnvSpec(p=0.5, s=1.0)}, 200, (74, 126, 0)),
+    ],
+    ids=["slow-clamped", "slow-clamped-tail", "fast-p0", "fast-p0-tail", "fast-p0.5",
+         "fast-p0.5-tail"],
+)
+def test_run_fixation_pinned_environment_edges(regime, extra, replicates, counts):
+    # at N=30 the logistic path is clamped at xi_max on its second step; the
+    # fast regime at the ends of its mark law (no marks, or no mark 0)
+    est = run_fixation(regime, validate_distribution([0.5, 0.3, 0.2]), 30, 0.2,
+                       replicates, 10**6, seed=5, **extra)
+    assert (est.fixed_count, est.lost_count, est.censored_count) == counts
+
+
 def _philox(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5])
+def test_mark_classes_and_weight_table_match_the_mark_law(p):
+    # the Monte Carlo block looks its weights up in 1 + s_N * MARKS by
+    # mark_class; sample_marks draws MARKS by the same classes.  Both must be
+    # the two-threshold law on the same uniforms, and the weights its products
+    fenv = FastEnvSpec(p=p, s=1.0)
+    s_n = fenv.s_of_N(30)
+    edges = [0.0, p, 2 * p, np.nextafter(p, 0), np.nextafter(p, 1),
+             np.nextafter(2 * p, 0), np.nextafter(2 * p, 1), np.nextafter(1.0, 0)]
+    u = np.concatenate([edges, _philox(2).random(10**5)])
+    law = np.where(u < p, -1, np.where(u < 2 * p, 1, 0))
+    np.testing.assert_array_equal(fenv.MARKS[fenv.mark_class(u)], law)
+    np.testing.assert_array_equal(
+        (1.0 + s_n * fenv.MARKS).take(fenv.mark_class(u)), 1.0 + s_n * law)
+    marks = fenv.sample_marks(_philox(2), 10**5)
+    assert marks.dtype == np.int64
+    np.testing.assert_array_equal(marks, law[len(edges):])
 
 
 def test_scalar_and_array_binomial_draws_agree():
