@@ -121,18 +121,19 @@ def cmd_fixation_heatmap(args):
     y = args.y
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # include the b0 = 1 edge
     qs = np.linspace(0.0, 1.0, args.grid)
-    for b0 in b0s:
-        for q in qs:
-            b1 = q * (1.0 - b0)
-            b2 = (1.0 - q) * (1.0 - b0)
-            d = validate_distribution([b0, b1, b2])
-            big_b = d.mean_time
-            fix = scale_fixation(*constant_coefficients_vec(d), psi(big_b, y))
-            bound = psi_cap(big_b, y)
-            lines.append(
-                f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
-                f"{_fmt(bound)},{_fmt(bound - fix)}"
-            )
+    cells = [(b0, q) for b0 in b0s for q in qs]
+    ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
+          for b0, q in cells]
+    # one batched scale solve for the map; psi and psi_cap per cell, on
+    # scalars (numpy's array exp and log can differ from the scalar ones)
+    fixes = scale_fixation(*constant_coefficients_vec(ds),
+                           [psi(d.mean_time, y) for d in ds])
+    for (b0, q), d, fix in zip(cells, ds, fixes):
+        bound = psi_cap(d.mean_time, y)
+        lines.append(
+            f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
+            f"{_fmt(bound)},{_fmt(bound - fix)}"
+        )
     _emit(args.out, lines)
 
 

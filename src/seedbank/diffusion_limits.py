@@ -78,9 +78,24 @@ def constant_coefficients_vec(d):
     """Drift and diffusion of the constant-environment diffusion, as callables
     of x (a scalar or an array):
     mu(x) = x (1 - x) phi''(x) / 2 and sigma(x) = sqrt(x (1 - x)) / (B (1 - x) + 1).
+
+    ``d`` is one distribution, or a sequence of M distributions: then both
+    callables map an (n,) array x to (M, n) values, one row per distribution
+    (phi'' from each one's ``drift_factor_fn``, B a column), each row bit for
+    bit the single pair's values, as ``scale_fixation`` takes a batch.
     """
-    phi2 = drift_factor_fn(d)
-    big_b = d.mean_time
+    if isinstance(d, GerminationDistribution):
+        phi2 = drift_factor_fn(d)
+        big_b = d.mean_time
+    else:
+        ds = list(d)
+        if not ds:
+            raise ValidationError("a batch needs at least one distribution")
+        phi2_rows = [drift_factor_fn(di) for di in ds]
+        big_b = np.array([[di.mean_time] for di in ds])
+
+        def phi2(x):
+            return np.array([fn(x) for fn in phi2_rows])
 
     def drift_vec(x):
         return 0.5 * x * (1.0 - x) * phi2(x)
@@ -279,70 +294,105 @@ _CHOP_TOL = 1e-14
 
 @functools.lru_cache(maxsize=None)
 def _cheb_basis(n):
-    """The n first-kind Chebyshev nodes mapped to [0, 1], and the n x n matrix
-    cos(j theta_k) of T_j at them (read-only: cached for every caller)."""
+    """The n first-kind Chebyshev nodes mapped to [0, 1], the n x n matrix
+    cos(j theta_k) of T_j at them, and the cosine transform's weights: 2/n,
+    the first halved (read-only: cached for every caller)."""
     theta = np.pi * (np.arange(n) + 0.5) / n
     nodes = 0.5 * (np.cos(theta) + 1.0)
     cos_jk = np.cos(np.outer(np.arange(n), theta))
-    nodes.setflags(write=False)
-    cos_jk.setflags(write=False)
-    return nodes, cos_jk
+    weights = np.full(n, 2.0 / n)
+    weights[0] *= 0.5
+    for a in (nodes, cos_jk, weights):
+        a.setflags(write=False)
+    return nodes, cos_jk, weights
 
 
-def _cheb_coeffs(cos_jk, values):
-    """Chebyshev coefficients of the degree n - 1 interpolant of values at the
-    first-kind nodes (one cosine transform)."""
-    c = cos_jk @ values * (2.0 / values.size)
-    c[0] *= 0.5
-    return c
+def _cheb_coeffs(cos_jk, weights, values):
+    """Chebyshev coefficients of the degree n - 1 interpolant of each row of
+    values, (m, n) values at the first-kind nodes: one cosine transform per
+    row, a stacked matrix-vector product that equals the one-row product bit
+    for bit (one matrix-matrix product would not).  Scaling by the weights is
+    scaling by 2/n and then halving the first coefficient, bit for bit: a
+    rounding commutes with halving, above the subnormal range."""
+    return np.matmul(cos_jk, values[:, :, None])[:, :, 0] * weights
+
+
+@functools.lru_cache(maxsize=None)
+def _integral_divisors(n):
+    """The divisors 1, 4, 6, ..., 2n and 2, 4, ..., 2(n - 2) of the two terms
+    of a Chebyshev antiderivative's coefficients (read-only)."""
+    first = 2.0 * np.arange(1, n + 1)
+    first[0] = 1.0
+    second = 2.0 * np.arange(1, n - 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
 def _cheb_integral(c):
     """numpy's ``chebint(c, lbnd=-1)``, bit for bit, for n >= 3 coefficients,
-    without its Python loop over them.
+    without its Python loop over them; ``c`` is one series or an (m, n) array
+    of series, one per row.
 
     The antiderivative's coefficients are c[0] - c[2]/2 at degree 1 and
     c[k-1]/(2k) - c[k+1]/(2k) above (c[n] = c[n+1] = 0), each rounded as
-    chebint rounds it; the constant term makes the integral vanish at -1 and
-    is evaluated by chebval's Clenshaw recurrence at x = -1, on Python floats.
+    chebint rounds it (c[0]/1 is exact); the constant term makes the integral
+    vanish at -1 and is evaluated by chebval's Clenshaw recurrence at x = -1,
+    on Python floats for one series and on the columns of several (the same
+    roundings).
     """
-    n = c.size
-    two_k = 2 * np.arange(2, n + 1)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1] = c[0] - c[2] / 2
-    out[2:] = c[1:] / two_k
-    out[2:n - 1] -= c[3:] / two_k[:-2]
-    coeffs = out.tolist()
+    n = c.shape[-1]
+    first, second = _integral_divisors(n)
+    rows = c.reshape(-1, n)
+    out = np.zeros((len(rows), n + 1))
+    out[:, 1:] = rows / first
+    out[:, 1:n - 1] -= rows[:, 2:] / second
+    coeffs = out[0].tolist() if len(out) == 1 else list(out.T.copy())
     b0, b1 = coeffs[-2], coeffs[-1]
     for v in reversed(coeffs[:-2]):
         b0, b1 = v - b1, b0 + b1 * -2
-    out[0] = 0.0 - (b0 - b1)
-    return out
+    out[:, 0] = 0.0 - (b0 - b1)
+    return out.reshape(c.shape[:-1] + (n + 1,))
 
 
 def _resolved(c):
-    """Chopping test: the last max(4, n/8) coefficients are negligible."""
-    tail = max(4, c.size // 8)
-    return np.max(np.abs(c[-tail:])) <= _CHOP_TOL * np.max(np.abs(c))
+    """Chopping test per row of c: the last max(4, n/8) coefficients are
+    negligible."""
+    size = np.abs(c)
+    tail = max(4, c.shape[1] // 8)
+    return size[:, -tail:].max(axis=1) <= _CHOP_TOL * size.max(axis=1)
+
+
+def _scale_values(c_g, t):
+    """S(x)/S(1) at t = 2x - 1 per row of c_g, the series of exp(-I), and of t."""
+    c_s = 0.5 * _cheb_integral(c_g)
+    s_one = c_s.sum(axis=1)  # T_j(1) = 1
+    if not s_one.min() > 0:
+        raise DegenerateDiffusion("scale function is degenerate on [0, 1]")
+    # chebval runs its recurrence on scalars for one value, and on the columns
+    # of c_s for several
+    s_t = (chebval(t.item(), c_s[0]) if t.size == 1
+           else chebval(t, c_s.T[:, :, None], tensor=False))
+    # S is increasing; rounding (about 1e-16 S(1)) must not leave [0, 1]
+    return np.clip(s_t / s_one[:, None], 0.0, 1.0)
 
 
 def _on_nodes(fn, x):
-    """fn on the node array x, or node by node when fn takes only scalars."""
+    """fn on the node array x: one value per node, or one row of them per
+    diffusion of a batch; node by node when fn takes only scalars."""
     try:
         out = np.asarray(fn(x), dtype=float)
     except (TypeError, ValueError):  # math.sqrt, or `if x < ...` on an array
         out = None
-    if out is None or out.shape != x.shape:
+    if out is None or out.shape[-1:] != x.shape:
         # a genuine error in fn is raised again here, on a scalar
         out = np.array([fn(v) for v in x.tolist()], dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("coefficient is not finite at a Chebyshev node")
     return out
 
 
 def scale_fixation(drift_fn, diff_fn, start):
-    """P(hit 1 before 0) for an autonomous 1-D diffusion on [0, 1].
+    """P(hit 1 before 0) for an autonomous 1-D diffusion on [0, 1], or for
+    each diffusion of a batch.
 
     Chebyshev spectral scale function: with f = 2 mu / sigma^2,
     I(x) = int_0^x f and S(x) = int_0^x exp(-I); returns S(start)/S(1).
@@ -353,44 +403,79 @@ def scale_fixation(drift_fn, diff_fn, start):
     (a simple form of the chopping rule of Aurentz & Trefethen, ACM TOMS
     43(4), 2017).
 
+    One diffusion: ``drift_fn`` and ``diff_fn`` map the (n,) node array to n
+    values, or take only scalars and are evaluated node by node; ``start`` is
+    a scalar (a float is returned) or an array (an array of its shape is
+    returned).  A batch of M diffusions: both map the node array to (M, n)
+    values, one row per diffusion (``constant_coefficients_vec`` of a
+    sequence of distributions does), and ``start`` is a scalar or one start
+    per diffusion; an (M,) array is returned.  A batch runs in lock-step:
+    each degree makes the cosine transforms of every unresolved row at once,
+    each row keeps its own degree, and each result is bit for bit that of a
+    call with its diffusion alone.  Every start lies in [0, 1].
+
     The coefficients must be smooth on [0, 1] (every pair in this package is
     analytic there); otherwise the series never resolves and ``NoConvergence``
-    is raised.  ``drift_fn`` and ``diff_fn`` may take arrays or scalars only.
-    ``start`` is a scalar (a float is returned) or an array, in [0, 1].
-    Raises ``DegenerateDiffusion`` if sigma vanishes at a node and
-    ``NumericalError`` on a non-finite coefficient or exp(-I).
+    is raised.  Raises ``DegenerateDiffusion`` if sigma vanishes at a node and
+    ``NumericalError`` on a non-finite coefficient or exp(-I), for a batch
+    when any of its diffusions not yet resolved does.
     """
     start = np.asarray(start, dtype=float)
-    if not np.all((start >= 0.0) & (start <= 1.0)):
+    if not ((start >= 0.0) & (start <= 1.0)).all():
         raise ValidationError("start must lie in [0, 1]")
+    out = None
     for n in _CHEB_DEGREES:
-        x, cos_jk = _cheb_basis(n)
+        x, cos_jk, weights = _cheb_basis(n)
         mu = _on_nodes(drift_fn, x)
-        s2 = _on_nodes(diff_fn, x) ** 2
-        if not np.all(s2 > 0):
-            z = x[np.argmin(s2)]
+        sigma = _on_nodes(diff_fn, x)
+        if out is None:
+            # one row of starts per diffusion, mapped to [-1, 1]: every start
+            # of a single diffusion, or each diffusion's own start in a batch
+            single = mu.ndim == 1
+            if single:
+                t = 2.0 * start.reshape(1, -1) - 1.0
+            elif start.shape in ((), mu.shape[:1]):
+                t = np.broadcast_to(2.0 * start - 1.0, mu.shape[:1])[:, None]
+            else:
+                raise ValidationError(f"start needs one value per diffusion, or one "
+                                      f"for all {len(mu)}; got shape {start.shape}")
+            out = np.empty(t.shape)
+            # the rows not yet resolved: every row, as a slice, until some are
+            active = slice(None)
+        if mu.shape != sigma.shape or mu.size != len(out) * n:
+            raise ValidationError("drift and diffusion must give one value per node, "
+                                  "or one row of values per diffusion, at every degree")
+        mu = mu.reshape(-1, n)[active]
+        sigma = sigma.reshape(-1, n)[active]
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise NumericalError("coefficient is not finite at a Chebyshev node")
+        s2 = sigma**2
+        if not (s2 > 0).all():
+            z = x[np.argmin(s2) % n]
             raise DegenerateDiffusion(f"diffusion vanishes at interior point {z}")
-        c_f = _cheb_coeffs(cos_jk, 2.0 * mu / s2)
+        c_f = _cheb_coeffs(cos_jk, weights, 2.0 * mu / s2)
         # x = (t + 1)/2 maps [-1, 1] to [0, 1], so dx = dt/2; T_n vanishes at
         # the nodes, so the first n coefficients of I give its node values
         c_i = 0.5 * _cheb_integral(c_f)
         with np.errstate(over="ignore"):
-            g = np.exp(-(cos_jk.T @ c_i[:n]))
-        if not np.all(np.isfinite(g)):
+            g = np.exp(-np.matmul(cos_jk.T, c_i[:, :n, None])[:, :, 0])
+        if not np.isfinite(g).all():
             raise NumericalError("exp(-I) is not finite: the drift is too strong "
                                  "for the scale function to be represented")
-        c_g = _cheb_coeffs(cos_jk, g)
-        if _resolved(c_f) and _resolved(c_g):
+        c_g = _cheb_coeffs(cos_jk, weights, g)
+        done = _resolved(c_f) & _resolved(c_g)
+        if done.all():
+            out[active] = _scale_values(c_g, t[active])
             break
+        if done.any():
+            active = np.arange(len(out))[active]
+            rows = active[done]
+            out[rows] = _scale_values(c_g[done], t[rows])
+            active = active[~done]
     else:
         raise NoConvergence(f"Chebyshev series of the scale density not resolved at "
                             f"degree {n}: the coefficients are not smooth on [0, 1]")
-    c_s = 0.5 * _cheb_integral(c_g)
-    s_one = c_s.sum()  # T_j(1) = 1
-    if not s_one > 0:
-        raise DegenerateDiffusion("scale function is degenerate on [0, 1]")
-    # S is increasing; rounding (about 1e-16 S(1)) must not leave [0, 1]
-    out = np.clip(chebval(2.0 * start - 1.0, c_s) / s_one, 0.0, 1.0)
+    out = out.reshape(start.shape if single else -1)
     return float(out) if out.ndim == 0 else out
 
 

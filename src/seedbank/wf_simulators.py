@@ -432,5 +432,5 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
         fixed_count=fixed,
         lost_count=lost,
         censored_count=censored,
-        master_seed=seed,
+        master_seed=int(seed),  # a Python int, as JSON takes it
     )

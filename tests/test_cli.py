@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import seedbank
-from seedbank.cli import main
+from seedbank.cli import _fmt, main
+from seedbank.diffusion_limits import constant_coefficients_vec, psi_cap, scale_fixation
 
 
 def run(tmp_path, name, argv):
@@ -67,6 +68,27 @@ def test_fixation_heatmap(tmp_path):
 
     rc2, out2 = run(tmp_path, "heatmap_again.csv", argv)
     assert rc2 == 0 and out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("y", [0.005, 0.05])
+def test_fixation_heatmap_rows_equal_per_cell_solves(tmp_path, y):
+    # the map's one batched scale solve gives every row byte for byte as the
+    # per-cell solve does, on any machine
+    grid = 12
+    rc, out = run(tmp_path, "heatmap.csv", ["fixation-heatmap", "--grid", str(grid),
+                                            "--y", str(y)])
+    assert rc == 0
+    want = []
+    for b0 in np.linspace(0.0, 1.0, grid + 1)[1:]:
+        for q in np.linspace(0.0, 1.0, grid):
+            d = seedbank.validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
+            fix = scale_fixation(*constant_coefficients_vec(d), seedbank.psi(d.mean_time, y))
+            bound = psi_cap(d.mean_time, y)
+            want.append(f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
+                        f"{_fmt(bound)},{_fmt(bound - fix)}")
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == "b0,q,fixation,psi_bound,difference"
+    assert rows[1:] == want
 
 
 def test_fixation_vs_b0(tmp_path):

@@ -381,6 +381,102 @@ def test_scale_fixation_array_start_and_scalar_callables():
     ) == pytest.approx(scalar[2], abs=1e-14)
 
 
+# K = 1, 2, 5 and 4; the last bank resolves at degree 64, the others at 32
+BATCH_BANKS = [[0.5, 0.5], [0.3, 0.3, 0.4], [0.4, 0.2, 0.15, 0.1, 0.1, 0.05],
+               [0.05, 0.05, 0.05, 0.05, 0.8]]
+
+
+def degrees_of(drift_vec, diff_vec, start):
+    """scale_fixation's result and the node counts its drift was called on."""
+    sizes = []
+
+    def drift(x):
+        sizes.append(x.size)
+        return drift_vec(x)
+
+    return scale_fixation(drift, diff_vec, start), sizes
+
+
+def test_scale_fixation_batch_matches_single_calls():
+    ds = [validate_distribution(b) for b in BATCH_BANKS]
+    starts = np.array([0.0, psi(ds[1].mean_time, 0.01), 0.3, 1.0])
+    single = []
+    for d, s in zip(ds, starts):
+        value, sizes = degrees_of(*constant_coefficients_vec(d), s)
+        single.append(value)
+        assert sizes == ([32, 64] if d is ds[-1] else [32])
+        # a batch of one is an array of one
+        batch_of_one = scale_fixation(*constant_coefficients_vec([d]), s)
+        assert batch_of_one.shape == (1,) and batch_of_one[0] == value
+    assert single[0] == 0.0 and single[-1] == 1.0
+    batch, sizes = degrees_of(*constant_coefficients_vec(ds), starts)
+    assert sizes == [32, 64]  # the rows resolved at 32 sit out at 64
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
+    np.testing.assert_array_equal(batch, single)
+    np.testing.assert_array_equal(
+        scale_fixation(*constant_coefficients_vec(ds[::-1]), starts[::-1]), batch[::-1])
+    # the rows of the batch pair are the single pairs' values
+    x = np.linspace(0.0, 1.0, 9)
+    for fn, rows in zip(constant_coefficients_vec(ds),
+                        zip(*(constant_coefficients_vec(d) for d in ds))):
+        np.testing.assert_array_equal(fn(x), [row(x) for row in rows])
+
+
+def test_scale_fixation_batch_scalar_start_broadcasts():
+    ds = [validate_distribution(b) for b in BATCH_BANKS]
+    pair = constant_coefficients_vec(ds)
+    got = scale_fixation(*pair, 0.2)
+    np.testing.assert_array_equal(got, scale_fixation(*pair, np.full(len(ds), 0.2)))
+    np.testing.assert_array_equal(
+        got, [scale_fixation(*constant_coefficients_vec(d), 0.2) for d in ds])
+
+
+def test_scale_fixation_batch_validation():
+    ds = [validate_distribution(b) for b in BATCH_BANKS]
+    drift_vec, diff_vec = constant_coefficients_vec(ds)
+    for start in (np.full(len(ds) + 1, 0.2), np.full((len(ds), 1), 0.2), [0.2, 0.3]):
+        with pytest.raises(ValidationError, match="start"):
+            scale_fixation(drift_vec, diff_vec, start)
+    with pytest.raises(ValidationError):  # one row per diffusion from both
+        scale_fixation(drift_vec, constant_coefficients_vec(ds[0])[1], 0.2)
+    with pytest.raises(ValidationError):
+        constant_coefficients_vec([])
+
+
+def test_scale_fixation_batch_failures_are_typed():
+    ds = [validate_distribution(b) for b in BATCH_BANKS[:3]]
+    drift_vec, diff_vec = constant_coefficients_vec(ds)
+
+    def with_row(row):
+        def drift(x):
+            out = drift_vec(x)
+            out[1] = row(x)
+            return out
+        return drift
+
+    # one row infinite at one node
+    with pytest.raises(NumericalError):
+        scale_fixation(with_row(lambda x: np.where(x == x.max(), np.inf, 0.0)), diff_vec, 0.3)
+    # one row with a kink at 1/2: its series never resolves
+    with pytest.raises(NoConvergence):
+        scale_fixation(with_row(lambda x: 50.0 * np.abs(x - 0.5) * x * (1.0 - x)),
+                       diff_vec, 0.3)
+    # a row resolved at degree 32 is not checked again at 64, where another
+    # row still runs: its non-finite values there raise nothing
+    deep = validate_distribution(BATCH_BANKS[-1])
+    pair = constant_coefficients_vec([ds[0], deep])
+
+    def drift(x):
+        out = pair[0](x)
+        if x.size > 32:
+            out[0] = np.nan
+        return out
+
+    np.testing.assert_array_equal(
+        scale_fixation(drift, pair[1], 0.3),
+        [scale_fixation(*constant_coefficients_vec(d), 0.3) for d in (ds[0], deep)])
+
+
 def test_cheb_integral_matches_numpy_chebint():
     # bit for bit, across degrees and coefficient magnitudes spanning 13 decades
     rng = np.random.default_rng(29)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -314,6 +315,18 @@ def test_run_fixation_validation_and_edges():
 
     est = run_fixation("constant", d, 100, 0.3, 200, 1, seed=1)
     assert est.censored_count == 200 and math.isnan(est.p_hat)
+
+
+def test_fixation_estimate_numpy_seed_is_json_safe():
+    # a numpy-integer seed runs the draws of the equal Python int, and the
+    # estimate stores that int, so to_dict() passes through json.dumps
+    d = validate_distribution([0.5, 0.5])
+    for seed in (np.uint64(5), np.int64(7)):
+        est = run_fixation("constant", d, 50, 0.2, 200, 1000, seed=seed)
+        want = run_fixation("constant", d, 50, 0.2, 200, 1000, seed=int(seed)).to_dict()
+        assert est.to_dict() == want
+        assert type(est.master_seed) is int
+        assert json.loads(json.dumps(est.to_dict())) == want
 
 
 def test_run_fixation_neutral_matches_start():
