@@ -60,15 +60,12 @@ from .diffusion_limits import (
     PdeGrid,
     SdeSpec,
     g_function,
-    integrate_sde,
     kolmogorov_fixation,
     psi_cap,
     sample_absorption,
     scale_closed_form,
     scale_fixation,
     sde_constant,
-    sde_fast_env,
-    sde_slow_env,
 )
 from .wf_simulators import (
     EnvProcess,

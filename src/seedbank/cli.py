@@ -25,11 +25,11 @@ from .core_model import (
     validate_distribution,
 )
 from .diffusion_limits import (
+    _bounding_fixation,
     constant_coefficients_vec,
     fast_coefficients_vec,
     g_function,
     kolmogorov_fixation,
-    psi_cap,
     scale_fixation,
 )
 from .errors import NumericalError, SeedbankError, ValidationError
@@ -124,12 +124,12 @@ def cmd_fixation_heatmap(args):
     cells = [(b0, q) for b0 in b0s for q in qs]
     ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
           for b0, q in cells]
-    # one batched scale solve for the map; psi and psi_cap per cell, on
-    # scalars (numpy's array exp and log can differ from the scalar ones)
-    fixes = scale_fixation(*constant_coefficients_vec(ds),
-                           [psi(d.mean_time, y) for d in ds])
-    for (b0, q), d, fix in zip(cells, ds, fixes):
-        bound = psi_cap(d.mean_time, y)
+    # psi and the bound per cell, on scalars (numpy's array exp and log can
+    # differ from the scalar ones); one batched scale solve for the map
+    starts = [psi(d.mean_time, y) for d in ds]
+    fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
+    for (b0, q), d, start, fix in zip(cells, ds, starts, fixes):
+        bound = _bounding_fixation(d.mean_time, start)
         lines.append(
             f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
             f"{_fmt(bound)},{_fmt(bound - fix)}"
@@ -242,16 +242,22 @@ def cmd_mc_compare(args):
 
 
 def cmd_reduce(args):
-    spec = json.loads(args.spec)
-    if "b" not in spec or "tag" not in spec or "x0" not in spec:
-        raise ValidationError('reduce spec needs keys "tag", "b", and "x0"')
+    try:
+        spec = json.loads(args.spec)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--spec is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict) or not {"b", "tag", "x0"} <= spec.keys():
+        raise ValidationError('reduce spec needs a JSON object with keys "tag", "b", and "x0"')
+    x0 = spec["x0"]
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not math.isfinite(x0):
+        raise ValidationError(f'"x0" must be a finite number, got {x0!r}')
     d = validate_distribution(spec["b"])
     kind = FlowKind(spec["tag"], d)
     flow = build_flow(kind)
     flow.jac = lambda x: jacobian_on_gamma(kind, x[0])
     flow.hess = lambda x: hessians_on_gamma(kind, x[0])
     chart = manifold_chart(kind)
-    result = reduce_point(flow, chart, float(spec["x0"]))
+    result = reduce_point(flow, chart, float(x0))
     _emit(args.out, [json.dumps(result.to_dict(), indent=2, sort_keys=True)])
 
 

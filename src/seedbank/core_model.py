@@ -35,18 +35,24 @@ class GerminationDistribution:
     mean_time: float = field(init=False)
 
     def __post_init__(self):
-        b = tuple(float(x) for x in self.b)
+        try:
+            if isinstance(self.b, (str, bytes)):  # "10" would read as (1, 0)
+                raise TypeError
+            b = tuple(map(float, self.b))
+        except (TypeError, ValueError):
+            raise ValidationError(f"b must be a sequence of numbers, got {self.b!r}") from None
         if len(b) < 2:
             raise ValidationError("need at least (b0, b1); use b=(1, 0) for no dormancy")
+        # written so that a NaN fails the checks after the first
         for x in b:
             if x < 0.0:
                 raise NegativeEntry(f"negative probability {x!r} in b={b}")
-            if x > 1.0:
-                raise NotOnSimplex(f"entry {x!r} exceeds 1 in b={b}")
+            if not x <= 1.0:
+                raise NotOnSimplex(f"entry {x!r} is not a probability in b={b}")
         total = sum(b)
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise NotOnSimplex(f"sum(b) = {total!r} differs from 1 beyond {SIMPLEX_TOL}")
-        if b[0] <= 0.0:
+        if not b[0] > 0.0:
             raise ZeroB0("b0 must be strictly positive")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", len(b) - 1)
@@ -75,7 +81,7 @@ def tail_sums(d):
 
 def validate_distribution(raw):
     """Build a GerminationDistribution from a raw sequence, raising on bad input."""
-    return GerminationDistribution(tuple(raw))
+    return GerminationDistribution(raw)
 
 
 def distribution_from_json(obj):

@@ -3,16 +3,18 @@
 Provides the limiting SDEs of the three regimes (constant environment, slowly
 varying population size, fast environment marks), each written once as an
 array-native (drift, diffusion) pair; the slow pair, the Crank-Nicolson
-solver's coefficients and g share one set of slow-regime factors.  Also an
-Euler-Maruyama integrator with absorbing boundaries, scale-function fixation
-probabilities for autonomous 1-D diffusions, the closed-form fixation bound
-Psi(B, y), the sign diagnostic g for stochastic population-size fluctuations,
-and a Crank-Nicolson backward Kolmogorov solver for the non-autonomous
-logistic-environment fixation probability.
+solver's coefficients and g share one set of slow-regime factors.
+``sde_constant`` is kept as the one ``SdeSpec`` view of a pair, the form the
+benchmark reads.  Also an Euler-Maruyama absorption sampler for 1-D pairs,
+scale-function fixation probabilities for autonomous 1-D diffusions, the
+closed-form fixation bound Psi(B, y), the sign diagnostic g for stochastic
+population-size fluctuations, and a Crank-Nicolson backward Kolmogorov solver
+for the non-autonomous logistic-environment fixation probability.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -57,21 +59,10 @@ def drift_factor_fn(d):
     return batched_drift_fn(d)
 
 
-@dataclass
-class SdeSpec:
-    """Drift/diffusion coefficients of a limiting diffusion.
-
-    ``drift(y, t)`` returns a (dim,) vector and ``diffusion(y, t)`` a
-    (dim, n_noise) matrix whose columns correspond to independent Brownian
-    motions.  ``absorbing`` lists, per coordinate, a tuple of absorbing values
-    (or an empty tuple).
-    """
-
-    dim: int
-    drift: callable
-    diffusion: callable
-    domain: np.ndarray
-    absorbing: tuple
+# drift/diffusion coefficients of a limiting diffusion: drift(y) returns a
+# (dim,) vector and diffusion(y) a (dim, n_noise) matrix, one column per
+# independent Brownian motion
+SdeSpec = namedtuple("SdeSpec", ["drift", "diffusion"])
 
 
 def constant_coefficients_vec(d):
@@ -129,25 +120,12 @@ def fast_coefficients_vec(d, fenv):
     return fast_drift_vec, diff_vec
 
 
-def _sde_1d(drift_vec, diff_vec):
-    """1-D ``SdeSpec`` on [0, 1], absorbing at both ends, of a coefficient pair."""
-    return SdeSpec(
-        dim=1,
-        drift=lambda y, t=0.0: np.array([drift_vec(y[0])]),
-        diffusion=lambda y, t=0.0: np.array([[diff_vec(y[0])]]),
-        domain=np.array([[0.0, 1.0]]),
-        absorbing=((0.0, 1.0),),
-    )
-
-
 def sde_constant(d):
-    """Limiting 1-D diffusion of the constant-environment model."""
-    return _sde_1d(*constant_coefficients_vec(d))
-
-
-def sde_fast_env(d, fenv):
-    """Limiting 1-D diffusion of the fast environment (dormancy depth one)."""
-    return _sde_1d(*fast_coefficients_vec(d, fenv))
+    """Limiting 1-D diffusion of the constant-environment model, as an
+    ``SdeSpec`` of 1-element state arrays."""
+    drift_vec, diff_vec = constant_coefficients_vec(d)
+    return SdeSpec(drift=lambda y: np.array([drift_vec(y[0])]),
+                   diffusion=lambda y: np.array([[diff_vec(y[0])]]))
 
 
 def _slow_factors(big_b, rho, phi2):
@@ -196,75 +174,21 @@ def slow_coefficients_vec(d, env):
     return drift_vec, diff_vec
 
 
-def sde_slow_env(d, env):
-    """Coupled 2-D diffusion of the slowly varying environment: state
-    (rho0, xi), noise columns (W_0, W_env)."""
-    drift_vec, diff_vec = slow_coefficients_vec(d, env)
-
-    def diffusion(y, t=0.0):
-        g0, g_env, e = diff_vec(*y)
-        return np.array([[g0, g_env], [0.0, e]])
-
-    return SdeSpec(
-        dim=2,
-        drift=lambda y, t=0.0: np.array(drift_vec(*y)),
-        diffusion=diffusion,
-        domain=np.array([[0.0, 1.0], [env.xi_min, env.xi_max]]),
-        absorbing=((0.0, 1.0), ()),
-    )
-
-
-def integrate_sde(spec, x0, t_end, dt, seed):
-    """Euler-Maruyama path with clamping and absorbing-boundary freezing.
-
-    Returns (times, path, absorbed) where ``absorbed`` maps coordinate index
-    to (absorbing value, absorption time) for coordinates that froze.
-    """
-    if not dt > 0 or dt > t_end:
-        raise StepSizeInvalid(f"invalid step dt={dt} for horizon {t_end}")
-    rng = np.random.default_rng(seed)
-    n_steps = int(round(t_end / dt))
-    y = np.asarray(x0, dtype=float).copy()
-    n_noise = np.asarray(spec.diffusion(y, 0.0)).shape[1]
-    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
-    path = np.empty((n_steps + 1, spec.dim))
-    path[0] = y
-    frozen = np.zeros(spec.dim, dtype=bool)
-    absorbed = {}
-    for n in range(n_steps):
-        t = n * dt
-        dw = rng.standard_normal(n_noise) * math.sqrt(dt)
-        step = spec.drift(y, t) * dt + np.asarray(spec.diffusion(y, t)) @ dw
-        y = np.where(frozen, y, np.clip(y + step, lo, hi))
-        for i in range(spec.dim):
-            if frozen[i]:
-                continue
-            for val in spec.absorbing[i]:
-                if abs(y[i] - val) < 1e-9:
-                    y[i] = val
-                    frozen[i] = True
-                    absorbed[i] = (val, (n + 1) * dt)
-                    break
-        path[n + 1] = y
-    times = np.arange(n_steps + 1) * dt
-    return times, path, absorbed
-
-
 def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
     """Vectorized absorption sampling for a 1-D diffusion on [0, 1].
 
     ``drift_vec`` and ``diff_vec`` map an array of states to arrays of
     coefficients.  A replicate is lost below 1e-9 and fixed above 1 - 1e-9,
     and dropped on the step it gets there: the replicates that go on lie in
-    [1e-9, 1 - 1e-9], so no step needs clipping into [0, 1].  Returns
-    (fixed, lost, censored) replicate counts.
+    [1e-9, 1 - 1e-9], so no step needs clipping into [0, 1].  ``dt`` must
+    lie in (0, max_time].  Returns (fixed, lost, censored) replicate counts.
     """
-    if not dt > 0:
-        raise StepSizeInvalid(f"invalid step dt={dt}")
     if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
         raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
     if not 0.0 < max_time < math.inf:
         raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
+    if not 0 < dt <= max_time:
+        raise StepSizeInvalid(f"invalid step dt={dt} for horizon {max_time}")
     if not 0.0 <= start <= 1.0:
         raise ValidationError(f"start {start!r} outside [0, 1]")
     rng = np.random.default_rng(seed)
@@ -479,20 +403,23 @@ def scale_fixation(drift_fn, diff_fn, start):
     return float(out) if out.ndim == 0 else out
 
 
+def _bounding_fixation(big_b, v):
+    """1 - e^{-Bv} + v e^{-Bv}: the bounding diffusion's fixation probability
+    from v, and (B + 1) times its scale function at v (a float for scalars)."""
+    e = np.exp(-np.asarray(big_b, dtype=float) * v)
+    out = 1.0 - e + v * e
+    return out.item() if np.ndim(out) == 0 else out
+
+
 def scale_closed_form(big_b, v):
     """Closed-form scale function of the bounding diffusion,
     S(v) = (1 - e^{-Bv} + v e^{-Bv})/(B + 1)."""
-    v = np.asarray(v, dtype=float)
-    out = (1.0 - np.exp(-big_b * v) + v * np.exp(-big_b * v)) / (big_b + 1.0)
-    return out.item() if out.ndim == 0 else out
+    return _bounding_fixation(big_b, np.asarray(v, dtype=float)) / (big_b + 1.0)
 
 
 def psi_cap(big_b, y):
     """Fixation-probability bound Psi(B, y) = 1 - e^{-B psi} + psi e^{-B psi}."""
-    p = psi(big_b, y)
-    e = np.exp(-np.asarray(big_b, dtype=float) * p)
-    out = 1.0 - e + p * e
-    return out.item() if np.ndim(out) == 0 else out
+    return _bounding_fixation(big_b, psi(big_b, y))
 
 
 def g_function(d, rho0, xi):

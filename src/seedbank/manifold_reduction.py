@@ -103,7 +103,8 @@ class FlowField:
             raise DomainViolation(f"point has shape {x.shape}, expected ({self.dim},)")
         lo, hi = self.domain[:, 0], self.domain[:, 1]
         tol = 1e-9
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
+        # written so that a NaN fails the check
+        if not (np.all(x >= lo - tol) and np.all(x <= hi + tol)):
             raise DomainViolation(f"point {x} outside box {self.domain.tolist()}")
         if self.constraint is not None and not self.constraint(x):
             raise DomainViolation(f"point {x} violates the flow's domain constraint")

@@ -184,6 +184,12 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 2
     capsys.readouterr()
 
+    # a NaN germination entry (once numpy's binomial ValueError mid-run)
+    rc = main(["mc-compare", "--regime", "constant", "--b", "nan,0.5", "--N", "30",
+               "--start", "0.2", "--replicates", "100", "--out", str(tmp_path / "mc.json")])
+    assert rc == 2 and not (tmp_path / "mc.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
     # Monte Carlo inputs that are not a population, a frequency or a budget
     mc = ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--replicates", "200"]
     for bad in (["--N", "0", "--start", "0.2"], ["--N", "50", "--start", "nan"],
@@ -230,6 +236,22 @@ def test_exit_codes(tmp_path, capsys):
         assert rc == 2, bad
         assert not (tmp_path / "bad.csv").exists()
         assert capsys.readouterr().err.startswith("error: "), bad
+
+    # reduce specs that are not JSON, not an object, or whose x0 is not a
+    # finite number (once tracebacks: JSONDecodeError, LinAlgError on a NaN,
+    # TypeError, ValueError), or whose b is not a list of numbers
+    for spec in ("garbage", "[0.5, 0.5]", '{"tag": "constant", "b": [0.5, 0.5]}',
+                 '{"tag": "constant", "b": [0.5, 0.5], "x0": NaN}',
+                 '{"tag": "constant", "b": [0.5, 0.5], "x0": Infinity}',
+                 '{"tag": "constant", "b": [0.5, 0.5], "x0": [0.3]}',
+                 '{"tag": "constant", "b": [0.5, 0.5], "x0": "abc"}',
+                 '{"tag": "constant", "b": [0.5, 0.5], "x0": true}',
+                 '{"tag": "constant", "b": "0.5", "x0": 0.3}',
+                 '{"tag": "constant", "b": [NaN, 0.5], "x0": 0.3}'):
+        rc = main(["reduce", "--spec", spec, "--out", str(tmp_path / "reduce.json")])
+        assert rc == 2, spec
+        assert not (tmp_path / "reduce.json").exists()
+        assert capsys.readouterr().err.startswith("error: "), spec
 
     # only mc-compare runs Monte Carlo, so only it takes --threads
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,18 @@ def test_validation_accepts_and_rejects():
         validate_distribution([0.9, -0.2, 0.3])
     with pytest.raises(ValidationError):
         validate_distribution([1.0])
+    # a NaN or infinite entry fails a check rather than passing every one
+    for bad in ([math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan],
+                [0.5, 0.5, math.nan], [math.inf, 0.5]):
+        with pytest.raises(NotOnSimplex):
+            validate_distribution(bad)
+    # so does anything that is not a sequence of numbers; "10" would otherwise
+    # read as (1, 0)
+    for bad in ("10", "0.5", b"10", ["abc", 0.5], [None, 1.0], 0.5, [[0.5], [0.5]]):
+        with pytest.raises(ValidationError):
+            validate_distribution(bad)
+    with pytest.raises(ValidationError):
+        distribution_from_json({"b": "0.5"})
 
 
 def test_parsers():

@@ -10,7 +10,6 @@ from seedbank import (
     PdeGrid,
     SlowEnvSpec,
     g_function,
-    integrate_sde,
     kolmogorov_fixation,
     psi,
     psi_cap,
@@ -19,13 +18,10 @@ from seedbank import (
     scale_closed_form,
     scale_fixation,
     sde_constant,
-    sde_fast_env,
-    sde_slow_env,
     validate_distribution,
 )
 from seedbank import diffusion_limits
 from seedbank.diffusion_limits import (
-    SdeSpec,
     _cheb_integral,
     _pde_operator_rows,
     _settle_steps,
@@ -75,21 +71,19 @@ def test_sde_constant_boundaries_and_sign():
 def test_slow_env_reduces_to_constant():
     d = validate_distribution([0.5, 0.5])
     env = SlowEnvSpec(0.5, 2.0, alpha=lambda x: 0.0, eta=lambda x: 0.0)
-    slow = sde_slow_env(d, env)
-    const = sde_constant(d)
+    slow_drift, slow_diff = slow_coefficients_vec(d, env)
+    const_drift, const_diff = constant_coefficients_vec(d)
     for rho in np.linspace(0.05, 0.95, 7):
-        y = np.array([rho, 1.0])
-        np.testing.assert_allclose(slow.drift(y)[0], const.drift(np.array([rho]))[0],
-                                   atol=1e-14)
-        np.testing.assert_allclose(slow.diffusion(y)[0, 0],
-                                   const.diffusion(np.array([rho]))[0, 0], atol=1e-14)
-        assert slow.diffusion(y)[0, 1] == 0.0
+        g0, g_env, _ = slow_diff(rho, 1.0)
+        np.testing.assert_allclose(slow_drift(rho, 1.0)[0], const_drift(rho), atol=1e-14)
+        np.testing.assert_allclose(g0, const_diff(rho), atol=1e-14)
+        assert g_env == 0.0
 
 
 def test_slow_env_deterministic_drift_term():
     d = validate_distribution([0.7, 0.3])
     env = bounded_env(eta_amp=0.0)
-    slow = sde_slow_env(d, env)
+    drift_vec, _ = slow_coefficients_vec(d, env)
     big_b = d.mean_time
     phi2 = drift_factor_fn(d)
     for rho, xi in [(0.3, 0.8), (0.6, 1.5)]:
@@ -98,7 +92,7 @@ def test_slow_env_deterministic_drift_term():
             0.5 * phi2(rho) * rho * (1.0 - rho) / xi
             - big_b * rho * (1.0 - rho) * env.alpha(xi) / (den * xi)
         )
-        assert abs(slow.drift(np.array([rho, xi]))[0] - want) < 1e-14
+        assert abs(drift_vec(rho, xi)[0] - want) < 1e-14
 
 
 def count_form(d, env, x0, xi):
@@ -125,11 +119,10 @@ def test_count_to_proportion_ito_consistency():
         k = rng.integers(1, 4)
         d = random_simplex(rng, k)
         env = bounded_env()
-        prop = sde_slow_env(d, env)
+        drift_vec, diff_vec = slow_coefficients_vec(d, env)
         xi = rng.uniform(0.6, 1.9)
         rho = rng.uniform(0.05, 0.95)
         x0 = rho * xi
-        yp = np.array([rho, xi])
         (mu_x, alpha), sig = count_form(d, env, x0, xi)
         eta = sig[1, 1]
         # d rho = dx0/xi - x0 dxi/xi^2 - d<x0, xi>/xi^2 + x0 d<xi>/xi^3
@@ -137,28 +130,29 @@ def test_count_to_proportion_ito_consistency():
         mu_rho = mu_x / xi - x0 * alpha / xi**2 - cross / xi**2 + x0 * eta**2 / xi**3
         g0 = sig[0, 0] / xi
         g_env = sig[0, 1] / xi - x0 * eta / xi**2
-        want = prop.drift(yp)
-        want_sig = prop.diffusion(yp)
-        assert abs(mu_rho - want[0]) < 1e-9
-        assert abs(g0 - want_sig[0, 0]) < 1e-9
-        assert abs(g_env - want_sig[0, 1]) < 1e-9
+        want_mu, _ = drift_vec(rho, xi)
+        want_g0, want_g_env, _ = diff_vec(rho, xi)
+        assert abs(mu_rho - want_mu) < 1e-9
+        assert abs(g0 - want_g0) < 1e-9
+        assert abs(g_env - want_g_env) < 1e-9
 
 
 def test_sde_fast_env():
     d = validate_distribution([0.5, 0.5])
-    base = sde_constant(d)
-    quiet = sde_fast_env(d, FastEnvSpec(p=0.0, s=1.0))
-    noisy = sde_fast_env(d, FastEnvSpec(p=0.25, s=2.0))
+    base_drift, base_diff = constant_coefficients_vec(d)
+    quiet_drift, _ = fast_coefficients_vec(d, FastEnvSpec(p=0.0, s=1.0))
+    noisy_drift, noisy_diff = fast_coefficients_vec(d, FastEnvSpec(p=0.25, s=2.0))
     for x in np.linspace(0.0, 1.0, 11):
-        y = np.array([x])
-        assert quiet.drift(y)[0] == pytest.approx(base.drift(y)[0], abs=1e-14)
-        assert noisy.drift(y)[0] >= base.drift(y)[0] - 1e-14
-        assert noisy.diffusion(y)[0, 0] == base.diffusion(y)[0, 0]
-    none = sde_fast_env(validate_distribution([1.0, 0.0]), FastEnvSpec(p=0.25, s=2.0))
+        assert quiet_drift(x) == pytest.approx(base_drift(x), abs=1e-14)
+        assert noisy_drift(x) >= base_drift(x) - 1e-14
+        assert noisy_diff(x) == base_diff(x)
+    none_drift, _ = fast_coefficients_vec(validate_distribution([1.0, 0.0]),
+                                          FastEnvSpec(p=0.25, s=2.0))
     for x in np.linspace(0.0, 1.0, 11):
-        assert none.drift(np.array([x]))[0] == pytest.approx(0.0, abs=1e-14)
+        assert none_drift(x) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(UnsupportedK):
-        sde_fast_env(validate_distribution([0.5, 0.3, 0.2]), FastEnvSpec(p=0.25, s=1.0))
+        fast_coefficients_vec(validate_distribution([0.5, 0.3, 0.2]),
+                              FastEnvSpec(p=0.25, s=1.0))
 
 
 @pytest.mark.parametrize(
@@ -180,14 +174,15 @@ def test_coefficient_pair_matches_spec(b, env):
     if isinstance(env, SlowEnvSpec):
         check_slow_pair(d, env)
         return
-    if env is None:
-        spec, (drift_vec, diff_vec) = sde_constant(d), constant_coefficients_vec(d)
-    else:
-        spec, (drift_vec, diff_vec) = sde_fast_env(d, env), fast_coefficients_vec(d, env)
     xs = np.linspace(0.0, 1.0, 41)
-    for x in xs:
-        assert spec.drift(np.array([x]))[0] == drift_vec(x)
-        assert spec.diffusion(np.array([x]))[0, 0] == diff_vec(x)
+    if env is None:
+        # sde_constant, the SdeSpec view of the pair, gives its values exactly
+        spec, (drift_vec, diff_vec) = sde_constant(d), constant_coefficients_vec(d)
+        for x in xs:
+            assert spec.drift(np.array([x]))[0] == drift_vec(x)
+            assert spec.diffusion(np.array([x]))[0, 0] == diff_vec(x)
+    else:
+        drift_vec, diff_vec = fast_coefficients_vec(d, env)
     # array input: one value per state, each within an ulp of the scalar one
     drift_arr, diff_arr = drift_vec(xs), diff_vec(xs)
     assert drift_arr.shape == diff_arr.shape == xs.shape
@@ -199,16 +194,11 @@ def test_coefficient_pair_matches_spec(b, env):
 
 
 def check_slow_pair(d, env):
-    """The 2-D form of the checks above, on a (rho0, xi) grid."""
-    spec, (drift_vec, diff_vec) = sde_slow_env(d, env), slow_coefficients_vec(d, env)
+    """The 2-D form of the array checks above, on a (rho0, xi) grid."""
+    drift_vec, diff_vec = slow_coefficients_vec(d, env)
     rhos, xis = np.meshgrid(np.linspace(0.0, 1.0, 21),
                             np.linspace(env.xi_min, env.xi_max, 7))
     states = list(zip(rhos.ravel(), xis.ravel()))
-    for rho, xi in states:
-        y = np.array([rho, xi])
-        g0, g_env, e = diff_vec(rho, xi)
-        np.testing.assert_array_equal(spec.drift(y), drift_vec(rho, xi))
-        np.testing.assert_array_equal(spec.diffusion(y), [[g0, g_env], [0.0, e]])
     # array input: every entry within an ulp of the scalar one
     for vec in (drift_vec, diff_vec):
         scalar = np.array([vec(rho, xi) for rho, xi in states])
@@ -220,41 +210,6 @@ def check_slow_pair(d, env):
         outside = np.array(vec(np.array([-0.1, 1.1]), np.ones(2)))
         assert np.all(np.isfinite(outside))
         np.testing.assert_array_equal(outside, vec(np.array([0.0, 1.0]), np.ones(2)))
-
-
-def test_integrate_sde_constant_path():
-    spec = SdeSpec(
-        dim=1,
-        drift=lambda y, t=0.0: np.zeros(1),
-        diffusion=lambda y, t=0.0: np.zeros((1, 1)),
-        domain=np.array([[0.0, 1.0]]),
-        absorbing=((),),
-    )
-    times, path, absorbed = integrate_sde(spec, [0.4], t_end=1.0, dt=0.01, seed=1)
-    np.testing.assert_allclose(path, 0.4)
-    assert absorbed == {}
-    with pytest.raises(StepSizeInvalid):
-        integrate_sde(spec, [0.4], t_end=1.0, dt=0.0, seed=1)
-
-
-def test_integrate_sde_box_conservation():
-    d = validate_distribution([0.5, 0.5])
-    env = bounded_env()
-    spec = sde_slow_env(d, env)
-    _, path, _ = integrate_sde(spec, [0.5, 1.0], t_end=5.0, dt=0.002, seed=4)
-    assert np.all(path[:, 0] >= 0.0) and np.all(path[:, 0] <= 1.0)
-    assert np.all(path[:, 1] >= env.xi_min - 1e-12)
-    assert np.all(path[:, 1] <= env.xi_max + 1e-12)
-
-
-def test_integrate_sde_absorption_freezes():
-    d = validate_distribution([0.5, 0.5])
-    spec = sde_constant(d)
-    _, path, absorbed = integrate_sde(spec, [0.02], t_end=50.0, dt=0.01, seed=11)
-    if absorbed:
-        value, t_abs = absorbed[0]
-        idx = int(round(t_abs / 0.01))
-        assert np.all(path[idx:, 0] == value)
 
 
 def test_scale_fixation_basics():
@@ -546,8 +501,11 @@ def test_sample_absorption_input_checks():
                 dict(start=1.5), dict(start=-0.1), dict(start=math.nan)):
         with pytest.raises(ValidationError):
             sample_absorption(drift_vec, diff_vec, **{**good, **bad})
-    with pytest.raises(StepSizeInvalid):
-        sample_absorption(drift_vec, diff_vec, **{**good, "dt": math.nan})
+    # a step that is not positive, or past the horizon (dt = 5 and inf once
+    # returned every replicate censored)
+    for dt in (math.nan, 0.0, -1e-3, 5.0, math.inf):
+        with pytest.raises(StepSizeInvalid):
+            sample_absorption(drift_vec, diff_vec, **{**good, "dt": dt})
 
 
 @pytest.mark.parametrize("b, wf_seed, em_seed", [

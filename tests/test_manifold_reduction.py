@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,10 @@ def test_project_to_manifold_fixed_points():
     np.testing.assert_allclose(project_to_manifold(flow, x), x, atol=1e-8)
     with pytest.raises(DomainViolation):
         project_to_manifold(flow, np.array([1.5, 0.0, 0.0]))
+    # a NaN coordinate is outside the box too
+    for bad in ([math.nan, 0.35, 0.35], [0.35, 0.35, math.nan]):
+        with pytest.raises(DomainViolation):
+            flow(np.array(bad))
 
 
 def characteristics_invariant(b0, x0, x1):
