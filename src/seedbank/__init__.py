@@ -7,8 +7,6 @@ from .core_model import (
     GerminationDistribution,
     SlowEnvSpec,
     distribution_from_cli,
-    distribution_from_json,
-    mean_germination_time,
     tail_sums,
     validate_distribution,
 )
@@ -16,7 +14,6 @@ from .manifold_reduction import (
     FlowField,
     ManifoldChart,
     ReductionResult,
-    definiteness_of,
     diagonal_chart,
     fd_hessians,
     fd_jacobian,
@@ -43,7 +40,6 @@ from .seedbank_flows import (
     hessians_on_gamma,
     jacobian_on_gamma,
     manifold_chart,
-    slow_env_derivatives,
     theta_fast_closed_k1,
     theta_g_closed,
 )
@@ -72,7 +68,4 @@ from .wf_simulators import (
     FixationEstimate,
     make_env_process,
     run_fixation,
-    step_constant,
-    step_fast,
-    step_slow,
 )

@@ -166,10 +166,15 @@ def cmd_g_plot(args):
         d = distribution_from_cli(args.b)
         banks = [(d.mean_time, d)]
     else:
-        # realize mean time B with a two-generation bank: b1 = b2 = B/3
+        # realize mean time B with a two-generation bank: b1 = b2 = B/3, and
+        # b0 = 1 - 2B/3 > 0 needs B < 1.5
+        big_bs = _parse_floats(args.B)
+        if not all(0.0 <= big_b < 1.5 for big_b in big_bs):
+            raise ValidationError(f"--B values must lie in [0, 1.5), the mean times of "
+                                  f"the banks (1 - 2B/3, B/3, B/3); got {args.B!r}")
         banks = [(big_b, validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
                                                 big_b / 3.0]))
-                 for big_b in _parse_floats(args.B)]
+                 for big_b in big_bs]
     rhos = np.linspace(0.0, 1.0, args.steps)
     # one (xi, rho0) table per bank, for one evaluation of phi''
     tables = [g_function(d, rhos, xis[:, None]) for _, d in banks]
@@ -214,6 +219,16 @@ def cmd_mc_compare(args):
         )
     if args.regime == "fast":
         fenv = FastEnvSpec(p=args.p, s=args.s)
+    # the prediction first: a regime it does not cover (the fast one at K >= 2)
+    # fails before the Monte Carlo runs
+    if args.regime == "slow":
+        prediction = kolmogorov_fixation(
+            d, {"r": args.r, "xi_inf": args.xi_inf}, args.start
+        )
+    else:
+        pair = (constant_coefficients_vec(d) if args.regime == "constant"
+                else fast_coefficients_vec(d, fenv))
+        prediction = scale_fixation(*pair, args.start)
     estimate = run_fixation(
         args.regime,
         d,
@@ -226,14 +241,6 @@ def cmd_mc_compare(args):
         env=env,
         fenv=fenv,
     )
-    if args.regime == "slow":
-        prediction = kolmogorov_fixation(
-            d, {"r": args.r, "xi_inf": args.xi_inf}, args.start
-        )
-    else:
-        pair = (constant_coefficients_vec(d) if args.regime == "constant"
-                else fast_coefficients_vec(d, fenv))
-        prediction = scale_fixation(*pair, args.start)
     payload = {
         "estimate": estimate.to_dict(),
         "diffusion_prediction": prediction,

@@ -10,6 +10,7 @@ every closed-form expression.
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -63,11 +64,6 @@ class GerminationDistribution:
         return np.asarray(self.b)
 
 
-def mean_germination_time(d):
-    """Mean number of generations spent dormant, B = sum(i * b_i)."""
-    return d.mean_time
-
-
 def tail_sums(d):
     """Tail sums T_i = sum(b_l for l >= i), i = 1..K, and B_j = B - T_j.
 
@@ -84,13 +80,6 @@ def validate_distribution(raw):
     return GerminationDistribution(raw)
 
 
-def distribution_from_json(obj):
-    """Parse {"b": [...]} (already-decoded JSON object)."""
-    if not isinstance(obj, dict) or "b" not in obj:
-        raise ValidationError('expected a JSON object of the form {"b": [...]}')
-    return validate_distribution(obj["b"])
-
-
 def distribution_from_cli(text):
     """Parse a comma-separated flag value like "0.6,0.2,0.2"."""
     try:
@@ -98,6 +87,13 @@ def distribution_from_cli(text):
     except ValueError as exc:
         raise ValidationError(f"could not parse --b value {text!r}") from exc
     return validate_distribution(values)
+
+
+def check_seed(seed):
+    """Reject a master seed that is not an integer in [0, 2**64) (a bool is
+    not one): the seeds both random number generators take."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .branching_phase import psi
-from .core_model import GerminationDistribution
+from .core_model import GerminationDistribution, check_seed
 from .errors import (
     DegenerateDiffusion,
     NoConvergence,
@@ -181,7 +181,8 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     coefficients.  A replicate is lost below 1e-9 and fixed above 1 - 1e-9,
     and dropped on the step it gets there: the replicates that go on lie in
     [1e-9, 1 - 1e-9], so no step needs clipping into [0, 1].  ``dt`` must
-    lie in (0, max_time].  Returns (fixed, lost, censored) replicate counts.
+    lie in (0, max_time], and ``seed`` is an integer in [0, 2**64).  Returns
+    (fixed, lost, censored) replicate counts.
     """
     if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
         raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
@@ -191,6 +192,7 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
         raise StepSizeInvalid(f"invalid step dt={dt} for horizon {max_time}")
     if not 0.0 <= start <= 1.0:
         raise ValidationError(f"start {start!r} outside [0, 1]")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     y = np.full(replicates, float(start))  # live replicates only, order kept
     fixed = lost = 0

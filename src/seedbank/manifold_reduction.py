@@ -351,36 +351,6 @@ def theta_integral(j, hessians, v, p_s, t_max=20.0, quad_step=0.005):
             )
 
 
-@dataclass
-class Definiteness:
-    label: str
-    eigenvalues: np.ndarray
-
-    @property
-    def is_psd(self):
-        return self.label == "pos-semidef"
-
-    @property
-    def is_nsd(self):
-        return self.label == "neg-semidef"
-
-
-def definiteness_of(m, tol=1e-10):
-    """Classify a symmetric matrix as pos-semidef / neg-semidef / indefinite."""
-    m = np.asarray(m, dtype=float)
-    eigvals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    has_pos = np.any(eigvals > tol)
-    has_neg = np.any(eigvals < -tol)
-    if has_pos and has_neg:
-        label = "indefinite"
-    elif has_neg:
-        label = "neg-semidef"
-    else:
-        # all >= -tol: treat the all-zero case as pos-semidef too
-        label = "pos-semidef"
-    return Definiteness(label=label, eigenvalues=eigvals)
-
-
 def phi0_derivatives(chart, x0, v_fn, theta, v_prime_fn=None, step=VPRIME_FD_STEP):
     """First and second derivatives of the projection map's first component.
 

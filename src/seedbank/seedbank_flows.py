@@ -123,7 +123,13 @@ def _fast_env_field(d):
 
 
 def build_flow(kind):
-    """Build the FlowField for a FlowKind, with analytic derivatives where known."""
+    """Build the FlowField for a FlowKind.
+
+    The field carries no analytic derivatives, so its ``jacobian`` and
+    ``hessians`` are finite differences until the caller attaches ``jac`` and
+    ``hess``; the ``reduce`` subcommand attaches ``jacobian_on_gamma`` and
+    ``hessians_on_gamma``, which are exact on the manifold only.
+    """
     d = kind.d
     k = d.k
     if kind.tag in ("constant", "linearized"):
@@ -322,35 +328,31 @@ def _deflated_drift_pieces(d):
             jacobian_on_gamma(kind, 0.0)[0] @ w, w.T @ delta @ w)
 
 
-def lyapunov_drift_fn(d):
+def drift_second_derivative(d, x0):
     """Second derivative of the projection map's first component on the
-    manifold, as a callable of x0 (a scalar or an array), by one direct
-    K x K Lyapunov solve per point.
+    manifold at x0 (a scalar or an array), at any dormancy depth, by one
+    direct K x K Lyapunov solve per point.
 
     Computed as the closed-form bound minus the (0,0) entry of the curvature
     matrix attributable to the rank-one Hessian defect, the latter from the
     deflated semistable Lyapunov solve (``_deflated_drift_pieces``).  This is
-    the oracle path behind ``drift_second_derivative``; the diffusion limits
-    use ``batched_drift_fn``, which is exact too and much cheaper per point.
+    the oracle path; the diffusion limits use ``batched_drift_fn``, which is
+    exact too and much cheaper per point.
     """
     big_b, a_settled, w0, row, delta_w = _deflated_drift_pieces(d)
-
-    def phi2(x0):
-        x0 = np.asarray(x0, dtype=float)
-        out = np.empty(x0.shape)
-        for idx, x in np.ndenumerate(x0):
-            one_minus = 1.0 - x
-            s = solve_lyapunov(a_settled + one_minus * np.outer(w0, row),
-                               2.0 * one_minus / (big_b * one_minus + 1.0) * delta_w)
-            out[idx] = drift_bound(big_b, x) - w0 @ s @ w0
-        return out if out.ndim else out[()]
-
-    return phi2
+    x0 = np.asarray(x0, dtype=float)
+    out = np.empty(x0.shape)
+    for idx, x in np.ndenumerate(x0):
+        one_minus = 1.0 - x
+        s = solve_lyapunov(a_settled + one_minus * np.outer(w0, row),
+                           2.0 * one_minus / (big_b * one_minus + 1.0) * delta_w)
+        out[idx] = drift_bound(big_b, x) - w0 @ s @ w0
+    return out if out.ndim else out[()]
 
 
 def batched_drift_fn(d):
-    """``lyapunov_drift_fn``'s phi''(x0), exact, batched over x0 by a rank-one
-    update of one Lyapunov operator.
+    """``drift_second_derivative``'s phi''(x0), exact, batched over x0 by a
+    rank-one update of one Lyapunov operator.
 
     A(x0) = A_1 + s w_0 row^T (``_deflated_drift_pieces``), so with
     L_1(S) = A_1^T S + S A_1 and q = S w_0 the deflated equation reads
@@ -409,12 +411,6 @@ def batched_drift_fn(d):
         return out if out.ndim else out[()]
 
     return phi2
-
-
-def drift_second_derivative(d, x0):
-    """Second derivative of the projection map's first component at x0, from
-    the Lyapunov pipeline (``lyapunov_drift_fn``) at any dormancy depth."""
-    return lyapunov_drift_fn(d)(x0)
 
 
 def drift_k1_closed(b0, x0):
@@ -534,21 +530,3 @@ def h_function(x0, b0):
     term3 = -2.0 * q * d2_x0_ups0
     term4 = 2.0 * q * ((1.0 - x0) + b0 * x0) / (q * (1.0 - x0) + 1.0)
     return term1 + term2 + term3 + term4
-
-
-def slow_env_derivatives(d, x0, xi):
-    """Closed-form derivatives of the slow-environment projection map.
-
-    The slow-environment manifold is two-dimensional (frequency and population
-    size), so these come from the scaling identity rather than the generic 1-D
-    engine.  Returns a dict with keys dx0, dxi, dx0dx0, dxidxi, dxidx0.
-    """
-    big_b = d.mean_time
-    den = big_b * (xi - x0) + xi
-    return {
-        "dx0": xi / den,
-        "dxi": 0.0,
-        "dx0dx0": drift_second_derivative(d, x0 / xi) / xi,
-        "dxidxi": 0.0,
-        "dxidx0": -big_b * x0 / den**2,
-    }

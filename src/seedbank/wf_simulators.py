@@ -39,7 +39,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core_model import SlowEnvSpec
+from .core_model import SlowEnvSpec, check_seed
 from .errors import ValidationError
 
 BLOCK_SIZE = 4096
@@ -102,8 +102,8 @@ def _binomial(rng, n, p):
 
 
 def _age(register, fresh):
-    """Shift a (R, K+1) or (R, K) register one generation in place, ``fresh``
-    in front.
+    """Shift a (R, K+1) register one generation in place, ``fresh`` in
+    front.
 
     One move of the flat buffer: each row's oldest entry spills into the
     front of the next row, where ``fresh`` overwrites it.  Measured about
@@ -145,58 +145,6 @@ def _mature_size(xi, n_pop):
     if isinstance(xi, float):
         return math.floor(xi * n_pop)
     return np.floor(np.asarray(xi, dtype=float) * n_pop).astype(np.int64)
-
-
-def _float_rows(x):
-    """Integer state(s) ``x`` as a fresh C-contiguous float array of shape
-    (R, K+1) (``_age`` needs the layout)."""
-    return np.atleast_2d(np.asarray(x, dtype=np.int64)).astype(float, order="C")
-
-
-def step_constant(x, d, n_pop, rng):
-    """One generation of the constant-environment chain.
-
-    ``x`` is an integer array of shape (K+1,) or (R, K+1); returns an int64
-    array of the same shape.
-    """
-    state = _float_rows(x)
-    _generation(state, d.array, n_pop, n_pop, None, d.array[1:], rng)
-    return state.astype(np.int64).reshape(np.shape(x))
-
-
-def step_slow(x, xi_now, xi_next, d, n_pop, rng):
-    """One generation of the slowly varying population-size chain.
-
-    ``xi_now``/``xi_next`` are the environment values at generations t and
-    t+1; the mature population sizes are floor(xi * N).  Returns the shape of
-    ``x``, as ``step_constant`` does.
-    """
-    state = _float_rows(x)
-    _generation(state, d.array, _mature_size(xi_now, n_pop),
-                _mature_size(xi_next, n_pop), None, d.array[1:], rng)
-    return state.astype(np.int64).reshape(np.shape(x))
-
-
-def step_fast(x, marks, new_mark, d, n_pop, fenv, rng):
-    """One generation of the fast-environment chain.
-
-    ``marks`` holds the last K environment marks (shape (R, K) or (K,)),
-    ``new_mark`` the freshly drawn mark of generation t+1.  Returns int64
-    (new_x, new_marks), shaped (K+1,), (K,) when ``x`` is one state of shape
-    (K+1,) and (R, K+1), (R, K) when it has shape (R, K+1).
-    """
-    state = _float_rows(x)
-    marks2 = _float_rows(marks)
-    new_mark = np.atleast_1d(np.asarray(new_mark))
-    s_n = fenv.s_of_N(n_pop)
-    b = d.array
-    _generation(state, b, n_pop, n_pop, 1.0 + s_n * new_mark,
-                b[1:] * (1.0 + s_n * marks2), rng)
-    _age(marks2, new_mark)
-    new, new_marks = state.astype(np.int64), marks2.astype(np.int64)
-    if np.ndim(x) == 1:
-        return new[0], new_marks[0]
-    return new, new_marks
 
 
 @dataclass(frozen=True)
@@ -368,8 +316,7 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
             raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if replicates < 100:
         raise ValidationError("replicates must be at least 100")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_seed(seed)
     if regime == "slow" and env is None:
         raise ValidationError("slow regime requires an environment process")
     if regime == "slow" and env.n_pop != n_pop:

@@ -50,8 +50,8 @@ from seedbank import (
     validate_distribution,
 )
 from seedbank.seedbank_flows import left_eigvec_prime
-from seedbank.wf_simulators import run_fixation, step_fast
-from conftest import random_simplex
+from seedbank.wf_simulators import run_fixation
+from conftest import generation, random_simplex
 
 
 def test_acceptance_01_theta_closed_form():
@@ -301,10 +301,12 @@ def test_acceptance_09_fast_environment():
     s_n = fenv.s_of_N(n_pop)
     reps = 10**6
     x = np.tile(np.array([160, 120], dtype=np.int64), (reps, 1))
-    marks = np.ones((reps, 1), dtype=np.int64)
+    # the dormant generation's weight 1 + s_N (mark +1) in front of the
+    # weights register, which the fresh mark's weight ages
+    weights = np.tile([1.0 + s_n, 1.0], (reps, 1))
     draw_rng = np.random.default_rng(9)
     fresh = fenv.sample_marks(draw_rng, reps)
-    new, _ = step_fast(x, marks, fresh, d, n_pop, fenv, draw_rng)
+    new = generation(x, d, n_pop, n_pop, draw_rng, weights, 1.0 + s_n * fresh)
     delta = (new[:, 0] - x[:, 0]) / n_pop
 
     xf = x[0] / n_pop

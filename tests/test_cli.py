@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import seedbank
+from seedbank import cli
 from seedbank.cli import _fmt, main
 from seedbank.diffusion_limits import constant_coefficients_vec, psi_cap, scale_fixation
 
@@ -166,6 +167,20 @@ def test_mc_compare(tmp_path):
     assert rc == 0 and threaded.read_bytes() == out.read_bytes()
 
 
+def test_mc_compare_refuses_before_simulating(tmp_path, monkeypatch, capsys):
+    # the fast regime has no diffusion prediction at K >= 2: the run exits 2
+    # without simulating (it once ran the whole Monte Carlo first)
+    def never(*args, **kwargs):
+        raise AssertionError("run_fixation called")
+
+    monkeypatch.setattr(cli, "run_fixation", never)
+    rc, out = run(tmp_path, "mc.json", [
+        "mc-compare", "--regime", "fast", "--b", "0.5,0.25,0.25", "--N", "300",
+        "--start", "0.2", "--replicates", "4000"])
+    assert rc == 2 and not out.exists()
+    assert "K = 1" in capsys.readouterr().err
+
+
 def test_reduce(tmp_path):
     spec = json.dumps({"tag": "constant", "b": [0.5, 0.5], "x0": 0.3})
     rc, out = run(tmp_path, "reduce.json", ["reduce", "--spec", spec])
@@ -236,6 +251,13 @@ def test_exit_codes(tmp_path, capsys):
         assert rc == 2, bad
         assert not (tmp_path / "bad.csv").exists()
         assert capsys.readouterr().err.startswith("error: "), bad
+    # g-plot realises each --B by the bank (1 - 2B/3, B/3, B/3), which needs B
+    # in [0, 1.5); outside it the error once named only that bank's entries
+    for bad in ("2", "-1", "nan", "1.5", "0.5,inf"):
+        rc = main(["g-plot", "--B", bad, "--out", str(tmp_path / "bad.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and not (tmp_path / "bad.csv").exists(), bad
+        assert err.startswith("error: --B") and "[0, 1.5)" in err, err
 
     # reduce specs that are not JSON, not an object, or whose x0 is not a
     # finite number (once tracebacks: JSONDecodeError, LinAlgError on a NaN,

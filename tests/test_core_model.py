@@ -8,8 +8,6 @@ from seedbank import (
     FastEnvSpec,
     SlowEnvSpec,
     distribution_from_cli,
-    distribution_from_json,
-    mean_germination_time,
     tail_sums,
     validate_distribution,
 )
@@ -24,9 +22,9 @@ from conftest import random_simplex
 
 
 def test_mean_time_examples():
-    assert mean_germination_time(validate_distribution([1.0, 0.0])) == 0.0
-    assert mean_germination_time(validate_distribution([0.5, 0.5])) == 0.5
-    assert mean_germination_time(validate_distribution([0.6, 0.2, 0.2])) == pytest.approx(0.6)
+    assert validate_distribution([1.0, 0.0]).mean_time == 0.0
+    assert validate_distribution([0.5, 0.5]).mean_time == 0.5
+    assert validate_distribution([0.6, 0.2, 0.2]).mean_time == pytest.approx(0.6)
 
 
 def test_tail_sums_examples():
@@ -60,17 +58,11 @@ def test_validation_accepts_and_rejects():
     for bad in ("10", "0.5", b"10", ["abc", 0.5], [None, 1.0], 0.5, [[0.5], [0.5]]):
         with pytest.raises(ValidationError):
             validate_distribution(bad)
-    with pytest.raises(ValidationError):
-        distribution_from_json({"b": "0.5"})
 
 
 def test_parsers():
-    d = distribution_from_json({"b": [0.6, 0.2, 0.2]})
-    assert d.k == 2
     d = distribution_from_cli("0.6,0.2,0.2")
-    assert d.b == (0.6, 0.2, 0.2)
-    with pytest.raises(ValidationError):
-        distribution_from_json([0.5, 0.5])
+    assert d.b == (0.6, 0.2, 0.2) and d.k == 2
     with pytest.raises(ValidationError):
         distribution_from_cli("0.5,oops")
 

@@ -506,6 +506,11 @@ def test_sample_absorption_input_checks():
     for dt in (math.nan, 0.0, -1e-3, 5.0, math.inf):
         with pytest.raises(StepSizeInvalid):
             sample_absorption(drift_vec, diff_vec, **{**good, "dt": dt})
+    # the master seed is checked as run_fixation checks it (-1 was numpy's
+    # ValueError, 1.5 a TypeError, and True ran as seed 1)
+    for seed in (-1, 2**64, 1.5, True, "1", None):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_absorption(drift_vec, diff_vec, **{**good, "seed": seed})
 
 
 @pytest.mark.parametrize("b, wf_seed, em_seed", [

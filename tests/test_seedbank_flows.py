@@ -23,7 +23,6 @@ from seedbank import (
     phi0_derivatives,
     projections,
     reduce_point,
-    slow_env_derivatives,
     solve_theta,
     theta_fast_closed_k1,
     theta_g_closed,
@@ -33,7 +32,7 @@ from seedbank import seedbank_flows
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
-from seedbank.seedbank_flows import batched_drift_fn, left_eigvec_prime, lyapunov_drift_fn
+from seedbank.seedbank_flows import batched_drift_fn, left_eigvec_prime
 from conftest import random_simplex
 
 
@@ -230,7 +229,7 @@ def test_lyapunov_drift_matches_generic_solve_deep():
         d = random_simplex(rng, k)
         kind = FlowKind("constant", d)
         delta, _ = delta_matrix(d)
-        got = lyapunov_drift_fn(d)(xs)
+        got = drift_second_derivative(d, xs)
         for x0, val in zip(xs, got):
             jac = jacobian_on_gamma(kind, x0)
             u, v = eigvecs_on_gamma(kind, x0)
@@ -294,7 +293,7 @@ def test_batched_drift_matches_direct_solve():
     for d in (random_simplex(rng, 3), random_simplex(rng, 5), even_bank(5, 0.05),
               random_simplex(rng, 20), even_bank(20, 0.02)):
         got = batched_drift_fn(d)(xs)
-        want = lyapunov_drift_fn(d)(xs)
+        want = drift_second_derivative(d, xs)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert got[-1] == pytest.approx(2.0 * d.mean_time, rel=1e-15)
 
@@ -438,22 +437,3 @@ def test_manifold_chart_unsupported():
     with pytest.raises(UnsupportedK):
         drift_k2_closed(d, 0.3)
 
-
-def test_slow_env_derivatives():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        k = rng.integers(1, 4)
-        d = random_simplex(rng, k)
-        xi = rng.uniform(0.5, 2.0)
-        x0 = rng.uniform(0.0, xi * 0.99)
-        out = slow_env_derivatives(d, x0, xi)
-        rho = x0 / xi
-        big_b = d.mean_time
-        den_rho = big_b * (1.0 - rho) + 1.0
-        # first derivative equals the constant-environment gradient at rho
-        assert abs(out["dx0"] - 1.0 / den_rho) < 1e-12
-        assert out["dxi"] == 0.0
-        assert out["dxidxi"] == 0.0
-        # second derivative scales like 1/xi by the time-change identity
-        assert abs(out["dx0dx0"] - drift_second_derivative(d, rho) / xi) < 1e-10
-        assert abs(out["dxidx0"] + big_b * x0 / (big_b * (xi - x0) + xi) ** 2) < 1e-14

@@ -14,10 +14,8 @@ from seedbank.wf_simulators import (
     _mature_size,
     make_env_process,
     run_fixation,
-    step_constant,
-    step_fast,
-    step_slow,
 )
+from conftest import generation
 
 
 DEEP_B = [0.4, 0.2, 0.15, 0.1, 0.1, 0.05]
@@ -38,7 +36,7 @@ def test_step_constant_conditional_mean():
     reps = 10**6
     for counts in [(150, 100, 200), (50, 400, 30), (250, 250, 250)]:
         x = np.tile(np.array(counts, dtype=np.int64), (reps, 1))
-        new = step_constant(x, d, n_pop, rng)
+        new = generation(x, d, n_pop, n_pop, rng)
         delta = (new[:, 0] - x[:, 0]) / n_pop
         target = expected_constant_delta(d, np.array(counts) / n_pop)
         se = delta.std() / math.sqrt(reps)
@@ -51,9 +49,9 @@ def test_step_constant_absorbing_states():
     d = validate_distribution([0.5, 0.5])
     rng = np.random.default_rng(0)
     zero = np.zeros(2, dtype=np.int64)
-    np.testing.assert_array_equal(step_constant(zero, d, 100, rng), zero)
+    np.testing.assert_array_equal(generation(zero, d, 100, 100, rng), [zero])
     full = np.array([100, 100], dtype=np.int64)
-    np.testing.assert_array_equal(step_constant(full, d, 100, rng), full)
+    np.testing.assert_array_equal(generation(full, d, 100, 100, rng), [full])
 
 
 def test_step_slow_conditional_mean():
@@ -65,7 +63,7 @@ def test_step_slow_conditional_mean():
     rng = np.random.default_rng(11)
     reps = 10**6
     x = np.tile(counts, (reps, 1))
-    new = step_slow(x, xi_now, xi_next, d, n_pop, rng)
+    new = generation(x, d, _mature_size(xi_now, n_pop), _mature_size(xi_next, n_pop), rng)
     delta = (new[:, 0] - x[:, 0]) / n_pop
 
     b = d.array
@@ -120,39 +118,20 @@ def test_step_fast_conditional_mean(b, counts, marks):
     x = np.tile(np.array((x0_count,) + counts, dtype=np.int64), (reps, 1))
     mark_block = np.tile(np.array(marks, dtype=np.int64), (reps, 1))
     fresh = fenv.sample_marks(rng, reps)
-    new, new_marks = step_fast(x, mark_block, fresh, d, n_pop, fenv, rng)
+    # the weights register holds the last K marks' weights in front; its last
+    # column is aged out by the fresh mark's weight
+    weights = 1.0 + s_n * np.hstack([mark_block, np.zeros((reps, 1))])
+    before = weights.copy()
+    new = generation(x, d, n_pop, n_pop, rng, weights, 1.0 + s_n * fresh)
     delta = (new[:, 0] - x[:, 0]) / n_pop
 
     xf = x[0] / n_pop
     target = expected_fast_delta(d, fenv, n_pop, xf, s_n * np.asarray(marks, dtype=float))
     se = delta.std() / math.sqrt(reps)
     assert abs(delta.mean() - target) < 4 * se
-    # mark register shifts like the seed bank does
-    np.testing.assert_array_equal(new_marks[:, 0], fresh)
-    np.testing.assert_array_equal(new_marks[:, 1:], mark_block[:, :-1])
-
-
-def test_step_fast_single_state_shapes():
-    d = validate_distribution([0.7, 0.3])
-    fenv = FastEnvSpec(p=0.2, s=0.5)
-    rng = np.random.default_rng(3)
-    x = np.array([30, 40], dtype=np.int64)
-    marks = np.array([1], dtype=np.int64)
-    new, new_marks = step_fast(x, marks, 0, d, 100, fenv, rng)
-    assert new.shape == (2,) and new_marks.shape == (1,)
-    assert new_marks[0] == 0
-
-
-def test_steps_keep_one_row_shape():
-    d = validate_distribution([0.7, 0.3])
-    fenv = FastEnvSpec(p=0.2, s=0.5)
-    rng = np.random.default_rng(5)
-    x = np.array([[30, 40]], dtype=np.int64)
-    assert step_constant(x, d, 100, rng).shape == (1, 2)
-    assert step_slow(x, 0.9, 1.0, d, 100, rng).shape == (1, 2)
-    new, new_marks = step_fast(x, np.array([[1]]), np.array([-1]), d, 100, fenv, rng)
-    assert new.shape == (1, 2) and new_marks.shape == (1, 1)
-    assert new_marks[0, 0] == -1
+    # the weights register shifts like the seed bank does
+    np.testing.assert_array_equal(weights[:, 0], 1.0 + s_n * fresh)
+    np.testing.assert_array_equal(weights[:, 1:], before[:, :-1])
 
 
 def test_make_env_process_validation():
@@ -545,37 +524,38 @@ def test_scalar_and_array_binomial_draws_agree():
 
 @pytest.mark.parametrize("b", [[0.6, 0.4], DEEP_B])
 def test_step_block_equals_rows_from_one_stream(b):
-    # a block step is R one-row steps drawn in row order from the same stream
+    # a block generation is R one-row generations drawn in row order from the
+    # same stream, in each regime's setup of the kernel
     d = validate_distribution(b)
-    fenv = FastEnvSpec(p=0.25, s=1.0)
     n_pop, reps = 50, 40
+    s_n = FastEnvSpec(p=0.25, s=1.0).s_of_N(n_pop)
     rng = np.random.default_rng(21)
     # at most floor(xi_now * N) mature mutants, as the slow chain requires
     x = rng.integers(0, n_pop // 2 + 1, (reps, d.k + 1))
     xi_now, xi_next = rng.uniform(0.5, 1.0, reps), rng.uniform(0.5, 1.0, reps)
-    marks, fresh = rng.integers(-1, 2, (reps, d.k)), rng.integers(-1, 2, reps)
+    weights = 1.0 + s_n * rng.integers(-1, 2, (reps, d.k + 1))
+    fresh = 1.0 + s_n * rng.integers(-1, 2, reps)
 
-    block = step_constant(x, d, n_pop, _philox(3))
+    block = generation(x, d, n_pop, n_pop, _philox(3))
     gen = _philox(3)
-    rows = [step_constant(row, d, n_pop, gen) for row in x]
-    assert block.dtype == np.int64
+    rows = [generation(row, d, n_pop, n_pop, gen)[0] for row in x]
     np.testing.assert_array_equal(block, rows)
-    # the memory layout of the input changes nothing
-    np.testing.assert_array_equal(step_constant(np.asfortranarray(x), d, n_pop, _philox(3)),
-                                  block)
 
-    block = step_slow(x, xi_now, xi_next, d, n_pop, _philox(4))
+    block = generation(x, d, _mature_size(xi_now, n_pop), _mature_size(xi_next, n_pop),
+                       _philox(4))
     gen = _philox(4)
-    rows = [step_slow(x[i], xi_now[i], xi_next[i], d, n_pop, gen) for i in range(reps)]
-    assert block.dtype == np.int64
+    rows = [generation(x[i], d, _mature_size(xi_now[i], n_pop),
+                       _mature_size(xi_next[i], n_pop), gen)[0] for i in range(reps)]
     np.testing.assert_array_equal(block, rows)
 
-    block, block_marks = step_fast(x, marks, fresh, d, n_pop, fenv, _philox(5))
+    block_weights = weights.copy()
+    block = generation(x, d, n_pop, n_pop, _philox(5), block_weights, fresh)
     gen = _philox(5)
-    rows = [step_fast(x[i], marks[i], fresh[i], d, n_pop, fenv, gen) for i in range(reps)]
-    assert block.dtype == block_marks.dtype == np.int64
-    np.testing.assert_array_equal(block, [r[0] for r in rows])
-    np.testing.assert_array_equal(block_marks, [r[1] for r in rows])
+    rows = [generation(x[i], d, n_pop, n_pop, gen, weights[i:i + 1], fresh[i:i + 1])[0]
+            for i in range(reps)]
+    np.testing.assert_array_equal(block, rows)
+    # each row's register is aged as the block's rows are
+    np.testing.assert_array_equal(weights, block_weights)
 
 
 def test_fixation_estimate_to_dict():
