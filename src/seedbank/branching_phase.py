@@ -82,7 +82,9 @@ def psi(big_b, y):
     psi_B(y) = log((B+1)/(B+e^{-2y})) / (2 (B+1)^2); psi is increasing in y
     and decreasing in B.  psi_0(y) = y in exact arithmetic only: the rounding
     of e^{-2y} leaves an absolute error up to about 1.1e-16 for y in [0, 1]
-    (psi(0, 0.01) is 0.009999999999999983).
+    (psi(0, 0.01) is 0.009999999999999983).  A scalar and an array of B
+    can differ in the last bit: (B + 1)**2 is a C pow on the numpy scalar that
+    a scalar B gives, and a multiply on an array (exp and log agree).
     """
     big_b = np.asarray(big_b, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -124,8 +124,9 @@ def cmd_fixation_heatmap(args):
     cells = [(b0, q) for b0 in b0s for q in qs]
     ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
           for b0, q in cells]
-    # psi and the bound per cell, on scalars (numpy's array exp and log can
-    # differ from the scalar ones); one batched scale solve for the map
+    # psi and the bound per cell, on scalars: on an array psi's (B + 1)**2 is
+    # a multiply, on a scalar a C pow, and 2 of the README map's 2,500 starts
+    # would move in the last bit; one batched scale solve for the map
     starts = [psi(d.mean_time, y) for d in ds]
     fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
     for (b0, q), d, start, fix in zip(cells, ds, starts, fixes):

@@ -96,6 +96,12 @@ def check_seed(seed):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def check_positive_int(name, value):
+    """Reject a count ``name`` that is not an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SlowEnvSpec:
     """Slowly varying environment: population size factor xi in [xi_min, xi_max].

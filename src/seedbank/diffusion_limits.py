@@ -16,13 +16,12 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .branching_phase import psi
-from .core_model import GerminationDistribution, check_seed
+from .core_model import GerminationDistribution, check_positive_int, check_seed
 from .errors import (
     DegenerateDiffusion,
     NoConvergence,
@@ -34,8 +33,7 @@ from .errors import (
 )
 from .seedbank_flows import (
     batched_drift_fn,
-    drift_k1_closed,
-    drift_k2_closed,
+    closed_drift_fn,
     h_function,
 )
 
@@ -50,13 +48,21 @@ def drift_factor_fn(d):
     of a call batched, each checked against the full Lyapunov equation.
     ``drift_second_derivative`` keeps the direct per-point solve as the
     oracle.  Build the callable once per distribution and call it on arrays.
+
+    For a sequence of M distributions the callable maps an (n,) array x0 to
+    (M, n) rows, each bit for bit the distribution's own: one closed-form
+    evaluation on columns when all share K <= 2 (``closed_drift_fn``),
+    else one call per distribution.
     """
-    if d.k == 1:
-        b0 = d.b[0]
-        return lambda x0: drift_k1_closed(b0, x0)
-    if d.k == 2:
-        return lambda x0: drift_k2_closed(d, x0)
-    return batched_drift_fn(d)
+    if isinstance(d, GerminationDistribution):
+        return closed_drift_fn(d) if d.k <= 2 else batched_drift_fn(d)
+    ds = list(d)
+    if not ds:
+        raise ValidationError("a batch needs at least one distribution")
+    if {di.k for di in ds} in ({1}, {2}):
+        return closed_drift_fn(ds)
+    rows = [drift_factor_fn(di) for di in ds]
+    return lambda x0: np.array([fn(x0) for fn in rows])
 
 
 # drift/diffusion coefficients of a limiting diffusion: drift(y) returns a
@@ -72,21 +78,16 @@ def constant_coefficients_vec(d):
 
     ``d`` is one distribution, or a sequence of M distributions: then both
     callables map an (n,) array x to (M, n) values, one row per distribution
-    (phi'' from each one's ``drift_factor_fn``, B a column), each row bit for
-    bit the single pair's values, as ``scale_fixation`` takes a batch.
+    (phi'' from the batch's ``drift_factor_fn``, one closed-form evaluation on
+    columns when all share K <= 2; B a column), each row bit for bit the
+    single pair's values, as ``scale_fixation`` takes a batch.
     """
     if isinstance(d, GerminationDistribution):
-        phi2 = drift_factor_fn(d)
         big_b = d.mean_time
     else:
-        ds = list(d)
-        if not ds:
-            raise ValidationError("a batch needs at least one distribution")
-        phi2_rows = [drift_factor_fn(di) for di in ds]
-        big_b = np.array([[di.mean_time] for di in ds])
-
-        def phi2(x):
-            return np.array([fn(x) for fn in phi2_rows])
+        d = list(d)
+        big_b = np.array([[di.mean_time] for di in d])
+    phi2 = drift_factor_fn(d)
 
     def drift_vec(x):
         return 0.5 * x * (1.0 - x) * phi2(x)
@@ -184,8 +185,7 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     lie in (0, max_time], and ``seed`` is an integer in [0, 2**64).  Returns
     (fixed, lost, censored) replicate counts.
     """
-    if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
-        raise ValidationError(f"replicates must be a positive integer, got {replicates!r}")
+    check_positive_int("replicates", replicates)
     if not 0.0 < max_time < math.inf:
         raise ValidationError(f"max_time must be positive and finite, got {max_time!r}")
     if not 0 < dt <= max_time:
@@ -564,10 +564,12 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     ``d`` is one distribution, with a scalar ``start_rho`` (a float is
     returned), or a sequence of distributions with an array of one start per
     distribution (an array is returned).  The settle time, dt and the grid
-    depend only on the logistic, so a batch marches in lock-step: each
-    Crank-Nicolson step builds the operator rows of every distribution at
-    once and solves all their systems in one LAPACK call, and each result is
-    bit for bit that of a call with its distribution alone.
+    depend only on the logistic, so a batch marches in lock-step: phi'' on
+    the grid is one call of the batch's ``drift_factor_fn`` (one closed-form
+    evaluation on columns when all share K <= 2), each Crank-Nicolson step
+    builds the operator rows of every distribution at once and solves all
+    their systems in one LAPACK call, and each result is bit for bit that of
+    a call with its distribution alone.
     """
     if grid is None:
         grid = PdeGrid()
@@ -593,7 +595,7 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     h = 1.0 / (n - 1)
     rho = np.linspace(0.0, 1.0, n)
     interior = rho[1:-1]
-    phi2_grid = np.array([drift_factor_fn(di)(interior) for di in ds])
+    phi2_grid = drift_factor_fn(ds)(interior)
     _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
     half_var = 0.5 * variance
 

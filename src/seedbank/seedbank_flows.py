@@ -17,6 +17,7 @@ drift factor), its closed K=1 and K=2 forms and upper bound, the fast-regime
 mixed second derivatives for K=1, and the extra-drift function h.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,29 +414,57 @@ def batched_drift_fn(d):
     return phi2
 
 
+def _k1_constants(b0):
+    q = 1.0 - b0
+    return q, q**2
+
+
+def _k1_closed(q, q2, x0):
+    den = q * (1.0 - x0) + 1.0
+    return q * (2.0 - q2 * (1.0 - x0) ** 2) / den**3
+
+
 def drift_k1_closed(b0, x0):
     """Closed-form drift second derivative for dormancy depth one."""
-    q = 1.0 - b0
-    den = q * (1.0 - x0) + 1.0
-    return q * (2.0 - q**2 * (1.0 - x0) ** 2) / den**3
+    return _k1_closed(*_k1_constants(b0), x0)
+
+
+def _k2_constants(d):
+    b0, b1, b2 = d.b
+    return d.mean_time, d.mean_time**2, 1.0 - b0, b2 * (2.0 * b1 + 3.0 * b2)
+
+
+def _k2_closed(big_b, big_b2, q, tail_term, x0):
+    one_minus = 1.0 - x0
+    num = one_minus * (
+        big_b * q * (1.0 - q * one_minus) * (big_b * one_minus + 2.0) + tail_term
+    ) + big_b * (4.0 - big_b2 * one_minus**2)
+    den = (big_b * one_minus + 1.0) ** 3 * (q * one_minus + 2.0)
+    return num / den
 
 
 def drift_k2_closed(d, x0):
     """Closed-form drift second derivative for dormancy depth two."""
     if d.k != 2:
         raise UnsupportedK("this closed form requires K = 2")
-    b0, b1, b2 = d.b
-    big_b = d.mean_time
-    one_minus = 1.0 - x0
-    num = one_minus * (
-        big_b
-        * (1.0 - b0)
-        * (1.0 - (1.0 - b0) * one_minus)
-        * (big_b * one_minus + 2.0)
-        + b2 * (2.0 * b1 + 3.0 * b2)
-    ) + big_b * (4.0 - big_b**2 * one_minus**2)
-    den = (big_b * one_minus + 1.0) ** 3 * ((1.0 - b0) * one_minus + 2.0)
-    return num / den
+    return _k2_closed(*_k2_constants(d), x0)
+
+
+def _closed_form(d):
+    if d.k == 1:
+        return (_k1_closed, *_k1_constants(d.b[0]))
+    return (_k2_closed, *_k2_constants(d))
+
+
+def closed_drift_fn(d):
+    """The closed-form phi'' of a distribution with K <= 2 as a callable of
+    x0; of a sequence of M that all share K = 1 or K = 2, one evaluation on
+    (M, 1) columns of the per-bank constants, each made on Python floats as
+    the single call makes it (an array's ``**`` need not round as a float's)."""
+    if isinstance(d, GerminationDistribution):
+        return functools.partial(*_closed_form(d))
+    form, *constants = zip(*map(_closed_form, d))
+    return functools.partial(form[0], *(np.array(c)[:, None] for c in constants))
 
 
 def fast_second_derivatives_k1(b0, x0):
@@ -524,8 +553,9 @@ def h_function(x0, b0):
     mark derivative.
     """
     q = 1.0 - b0
+    q2 = q**2
     d2_x0_ups0, _ = fast_second_derivatives_k1(b0, x0)
-    term1 = q**2 * x0 * (1.0 - x0) * drift_k1_closed(b0, x0)
+    term1 = q2 * x0 * (1.0 - x0) * _k1_closed(q, q2, x0)
     term2 = _fast_ups_ups_reduced_k1(b0, x0)
     term3 = -2.0 * q * d2_x0_ups0
     term4 = 2.0 * q * ((1.0 - x0) + b0 * x0) / (q * (1.0 - x0) + 1.0)

@@ -35,11 +35,10 @@ genetic channel.
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core_model import SlowEnvSpec, check_seed
+from .core_model import SlowEnvSpec, check_positive_int, check_seed
 from .errors import ValidationError
 
 BLOCK_SIZE = 4096
@@ -312,8 +311,7 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
         raise ValidationError(f"unknown regime {regime!r}")
     for name, value in (("n_pop", n_pop), ("replicates", replicates),
                         ("max_generations", max_generations), ("threads", threads)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        check_positive_int(name, value)
     if replicates < 100:
         raise ValidationError("replicates must be at least 100")
     check_seed(seed)

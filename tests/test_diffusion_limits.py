@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebint
 from scipy.integrate import solve_ivp
 
@@ -432,6 +433,53 @@ def test_scale_fixation_batch_failures_are_typed():
         [scale_fixation(*constant_coefficients_vec(d), 0.3) for d in (ds[0], deep)])
 
 
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def k2_bank(b0, q):
+    return validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
+
+
+def k1_bank(b0):
+    return validate_distribution([b0, 1.0 - b0])
+
+
+# a probability in (0, 1] or [0, 1], its ends drawn as often as the rest
+b0s = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+# K = 2 banks as the fixation heatmap builds them: q = 0 gives b1 = 0, q = 1 b2 = 0
+k2_banks = st.builds(k2_bank, b0s, fractions)
+k1_banks = st.builds(k1_bank, b0s)
+nodes = st.lists(fractions, min_size=1, max_size=40).map(np.array)
+# a float pow and an array multiply round (1 - b0)**2 of the first and B**2 of
+# the second (a README heatmap cell) apart, with glibc's pow: about 1 in 1,000
+# squares does, so a batch that squared its columns would rarely be drawn
+SQUARES_APART = [k1_bank(0.0523), k2_bank(0.42, 0.7959183673469387)]
+
+
+@settings(max_examples=60, deadline=None)
+@example([SQUARES_APART[0]], np.linspace(0.0, 1.0, 101))
+@example([SQUARES_APART[1]], np.linspace(0.0, 1.0, 101))
+@given(st.one_of(st.lists(k1_banks, min_size=1, max_size=12),
+                 st.lists(k2_banks, min_size=1, max_size=12)), nodes)
+def test_closed_drift_batch_rows_are_single_calls(ds, x):
+    # one closed-form evaluation on columns of per-bank constants, each row
+    # bit for bit the bank's own drift factor
+    assert_same_bits(drift_factor_fn(ds)(x), [drift_factor_fn(d)(x) for d in ds])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations([1, 2, 5, 1, 2]), st.integers(0, 2**32 - 1), nodes)
+def test_mixed_depth_drift_batch_rows_are_single_calls(ks, seed, x):
+    # depths 1, 2 and 5 in one batch: one call per distribution
+    rng = np.random.default_rng(seed)
+    ds = [random_simplex(rng, k) for k in ks]
+    assert_same_bits(drift_factor_fn(ds)(x), [drift_factor_fn(d)(x) for d in ds])
+
+
 def test_cheb_integral_matches_numpy_chebint():
     # bit for bit, across degrees and coefficient magnitudes spanning 13 decades
     rng = np.random.default_rng(29)
@@ -725,18 +773,22 @@ def test_settle_budget_raises():
 
 def test_kolmogorov_batch_matches_scalar_calls():
     rng = np.random.default_rng(47)
-    ds = [validate_distribution([0.3, 0.7]), random_simplex(rng, 2), random_simplex(rng, 5),
-          validate_distribution([0.8, 0.2]), validate_distribution([1.0, 0.0])]
-    starts = np.array([0.02, 0.3, 0.15, 0.6, 0.01])
-    for xi_inf in (0.8, 1.0, 1.2):
-        logistic = {"r": 20.0, "xi_inf": xi_inf}
-        single = [kolmogorov_fixation(d, logistic, s) for d, s in zip(ds, starts)]
-        assert all(type(v) is float for v in single)
-        batch = kolmogorov_fixation(ds, logistic, starts)
-        assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
-        np.testing.assert_array_equal(batch, single)
-        np.testing.assert_array_equal(
-            kolmogorov_fixation(ds[::-1], logistic, starts[::-1]), batch[::-1])
+    mixed = [validate_distribution([0.3, 0.7]), random_simplex(rng, 2), random_simplex(rng, 5),
+             validate_distribution([0.8, 0.2]), validate_distribution([1.0, 0.0])]
+    # the README's fixation-vs-b0 banks and starts: one K = 1 closed-form
+    # evaluation on columns gives phi'' for the whole batch
+    readme = [validate_distribution([b0, 1.0 - b0]) for b0 in np.linspace(0.0, 1.0, 21)[1:]]
+    for ds, starts in ((mixed, np.array([0.02, 0.3, 0.15, 0.6, 0.01])),
+                       (readme, np.array([psi(d.mean_time, 0.01) for d in readme]))):
+        for xi_inf in (0.8, 1.0, 1.2):
+            logistic = {"r": 20.0, "xi_inf": xi_inf}
+            single = [kolmogorov_fixation(d, logistic, s) for d, s in zip(ds, starts)]
+            assert all(type(v) is float for v in single)
+            batch = kolmogorov_fixation(ds, logistic, starts)
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
+            assert_same_bits(batch, single)
+            np.testing.assert_array_equal(
+                kolmogorov_fixation(ds[::-1], logistic, starts[::-1]), batch[::-1])
 
 
 @pytest.mark.parametrize("b0, xi_inf, want", [
