@@ -6,7 +6,6 @@ from .core_model import (
     FastEnvSpec,
     GerminationDistribution,
     SlowEnvSpec,
-    distribution_from_cli,
     tail_sums,
     validate_distribution,
 )
@@ -53,7 +52,6 @@ from .branching_phase import (
     survival_constant,
 )
 from .diffusion_limits import (
-    PdeGrid,
     SdeSpec,
     g_function,
     kolmogorov_fixation,

@@ -43,8 +43,7 @@ def mean_matrix(spec):
     mat[0, 0] = b[0]
     mat[0, 1:] = m_scale * b[1:]
     mat[1, 0] = 1.0 / m_scale
-    for i in range(2, k + 1):
-        mat[i, i - 1] = 1.0
+    mat[2:, 1:k] = np.eye(k - 1)
     return mat
 
 

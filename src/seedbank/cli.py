@@ -5,9 +5,11 @@ Subcommands either reproduce the data behind the package's figures as CSV
 h-contour) or emit single JSON results (mc-compare, reduce).  Every CSV starts
 with a comment header recording the tool version, the fully resolved
 parameters, and the seed, so re-running the header's parameters reproduces the
-file byte-for-byte.
+file byte-for-byte.  Every CSV value is ``repr`` of a float, written by one
+function, ``_write_csv``.
 
-Exit codes: 0 success, 2 validation error (bad inputs), 3 numerical failure.
+Exit codes: 0 success, otherwise the ``exit_code`` of the package error raised
+(2 validation error, 3 numerical failure, 1 any other package error).
 """
 
 import argparse
@@ -19,11 +21,7 @@ import numpy as np
 
 from . import __version__
 from .branching_phase import psi
-from .core_model import (
-    FastEnvSpec,
-    distribution_from_cli,
-    validate_distribution,
-)
+from .core_model import FastEnvSpec, check_positive_int, validate_distribution
 from .diffusion_limits import (
     _bounding_fixation,
     constant_coefficients_vec,
@@ -38,7 +36,6 @@ from .seedbank_flows import (
     FlowKind,
     build_flow,
     drift_second_derivative,
-    eigvecs_on_gamma,
     h_function,
     hessians_on_gamma,
     jacobian_on_gamma,
@@ -70,178 +67,134 @@ def _csv_header(subcommand, params, seed):
     return lines
 
 
-def _parse_floats(text):
+def _write_csv(args, subcommand, params, names, *columns):
+    """Write a figure's CSV: the header, the column ``names`` and one row per
+    entry of the columns, each value ``repr`` of a float.  A column may be a
+    table; it is read in row-major order."""
+    lines = _csv_header(subcommand, params, args.seed)
+    lines.append(names)
+    columns = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns, strict=True))
+    _emit(args.out, lines)
+
+
+def _parse_floats(text, flag):
     try:
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"could not parse list {text!r}") from exc
-
-
-def _check_count(name, value):
-    if value < 1:
-        raise ValidationError(f"--{name} must be at least 1, got {value}")
+        raise ValidationError(f"could not parse {flag} value {text!r}") from exc
 
 
 def cmd_psi_curve(args):
-    _check_count("steps", args.steps)
-    b_values = _parse_floats(args.B)
+    check_positive_int("--steps", args.steps)
+    b_values = _parse_floats(args.B, "--B")
     if not all(0.0 <= big_b < math.inf for big_b in b_values):
         raise ValidationError("B values must be non-negative and finite")
     if not 0.0 < args.ymax < math.inf:
         raise ValidationError(f"--ymax must be positive and finite, got {args.ymax}")
-    params = {"B": args.B, "ymax": args.ymax, "steps": args.steps}
-    lines = _csv_header("psi-curve", params, args.seed)
-    lines.append("B,y,psi")
-    ys = np.linspace(0.0, args.ymax, args.steps + 1)
-    for big_b in b_values:
-        for y in ys:
-            lines.append(f"{_fmt(big_b)},{_fmt(float(y))},{_fmt(psi(big_b, float(y)))}")
-    _emit(args.out, lines)
+    ys = np.linspace(0.0, args.ymax, args.steps + 1).tolist()
+    psis = [psi(big_b, y) for big_b in b_values for y in ys]
+    _write_csv(args, "psi-curve", {"B": args.B, "ymax": args.ymax, "steps": args.steps},
+               "B,y,psi", np.repeat(b_values, len(ys)), ys * len(b_values), psis)
 
 
 def cmd_drift_surface(args):
-    _check_count("grid", args.grid)
-    params = {"grid": args.grid}
-    lines = _csv_header("drift-surface", params, args.seed)
-    lines.append("b0,x0,d2phi0_dx02")
+    check_positive_int("--grid", args.grid)
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # b0 > 0 strictly
     x0s = np.linspace(0.0, 1.0, args.grid)
-    for b0 in b0s:
-        d = validate_distribution([b0, 1.0 - b0])
-        for x0, val in zip(x0s, drift_second_derivative(d, x0s)):
-            lines.append(f"{_fmt(float(b0))},{_fmt(float(x0))},{_fmt(val)}")
-    _emit(args.out, lines)
+    rows = [drift_second_derivative(validate_distribution([b0, 1.0 - b0]), x0s)
+            for b0 in b0s]
+    _write_csv(args, "drift-surface", {"grid": args.grid}, "b0,x0,d2phi0_dx02",
+               np.repeat(b0s, args.grid), np.tile(x0s, args.grid), rows)
 
 
 def cmd_fixation_heatmap(args):
-    _check_count("grid", args.grid)
-    params = {"grid": args.grid, "y": args.y}
-    lines = _csv_header("fixation-heatmap", params, args.seed)
-    lines.append("b0,q,fixation,psi_bound,difference")
+    check_positive_int("--grid", args.grid)
     y = args.y
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # include the b0 = 1 edge
     qs = np.linspace(0.0, 1.0, args.grid)
-    cells = [(b0, q) for b0 in b0s for q in qs]
     ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
-          for b0, q in cells]
+          for b0 in b0s for q in qs]
     # psi and the bound per cell, on scalars: on an array psi's (B + 1)**2 is
     # a multiply, on a scalar a C pow, and 2 of the README map's 2,500 starts
     # would move in the last bit; one batched scale solve for the map
     starts = [psi(d.mean_time, y) for d in ds]
     fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
-    for (b0, q), d, start, fix in zip(cells, ds, starts, fixes):
-        bound = _bounding_fixation(d.mean_time, start)
-        lines.append(
-            f"{_fmt(float(b0))},{_fmt(float(q))},{_fmt(fix)},"
-            f"{_fmt(bound)},{_fmt(bound - fix)}"
-        )
-    _emit(args.out, lines)
+    bounds = [_bounding_fixation(d.mean_time, start) for d, start in zip(ds, starts)]
+    _write_csv(args, "fixation-heatmap", {"grid": args.grid, "y": y},
+               "b0,q,fixation,psi_bound,difference", np.repeat(b0s, args.grid),
+               np.tile(qs, args.grid), fixes, bounds, np.subtract(bounds, fixes))
 
 
 def cmd_fixation_vs_b0(args):
-    _check_count("steps", args.steps)
-    xi_infs = _parse_floats(args.xi_inf)
-    params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
-    lines = _csv_header("fixation-vs-b0", params, args.seed)
-    lines.append("xi_inf,b0,fixation")
+    check_positive_int("--steps", args.steps)
+    xi_infs = _parse_floats(args.xi_inf, "--xi-inf")
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
     ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
     starts = [psi(d.mean_time, args.y) for d in ds]
-    for xi_inf in xi_infs:
-        fixes = kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
-        for b0, fix in zip(b0s, fixes):
-            lines.append(f"{_fmt(float(xi_inf))},{_fmt(float(b0))},{_fmt(fix)}")
-    _emit(args.out, lines)
+    fixes = [kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
+             for xi_inf in xi_infs]
+    params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
+    _write_csv(args, "fixation-vs-b0", params, "xi_inf,b0,fixation",
+               np.repeat(xi_infs, args.steps), np.tile(b0s, len(xi_infs)), fixes)
 
 
 def cmd_g_plot(args):
-    _check_count("steps", args.steps)
-    xis = np.array(_parse_floats(args.xi))
+    check_positive_int("--steps", args.steps)
+    xis = np.array(_parse_floats(args.xi, "--xi"))
     if not np.all((xis > 0.0) & np.isfinite(xis)):
         raise ValidationError("xi values must be positive and finite")
-    params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
-    lines = _csv_header("g-plot", params, args.seed)
-    lines.append("xi,B,rho0,g")
     if args.b:
         # an explicit bank overrides --B; its own mean time labels the rows
-        d = distribution_from_cli(args.b)
-        banks = [(d.mean_time, d)]
+        ds = [validate_distribution(_parse_floats(args.b, "--b"))]
+        big_bs = [ds[0].mean_time]
     else:
         # realize mean time B with a two-generation bank: b1 = b2 = B/3, and
         # b0 = 1 - 2B/3 > 0 needs B < 1.5
-        big_bs = _parse_floats(args.B)
+        big_bs = _parse_floats(args.B, "--B")
         if not all(0.0 <= big_b < 1.5 for big_b in big_bs):
             raise ValidationError(f"--B values must lie in [0, 1.5), the mean times of "
                                   f"the banks (1 - 2B/3, B/3, B/3); got {args.B!r}")
-        banks = [(big_b, validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
-                                                big_b / 3.0]))
-                 for big_b in big_bs]
+        ds = [validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0])
+              for big_b in big_bs]
     rhos = np.linspace(0.0, 1.0, args.steps)
-    # one (xi, rho0) table per bank, for one evaluation of phi''
-    tables = [g_function(d, rhos, xis[:, None]) for _, d in banks]
-    for i, xi in enumerate(xis):
-        for (big_b, _), table in zip(banks, tables):
-            for rho, val in zip(rhos, table[i]):
-                lines.append(
-                    f"{_fmt(float(xi))},{_fmt(float(big_b))},"
-                    f"{_fmt(float(rho))},{_fmt(val)}"
-                )
-    _emit(args.out, lines)
+    # one (xi, rho0) table per bank, for one evaluation of phi''; rows run
+    # over xi, then bank, then rho0
+    tables = np.stack([g_function(d, rhos, xis[:, None]) for d in ds], axis=1)
+    params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
+    _write_csv(args, "g-plot", params, "xi,B,rho0,g",
+               np.repeat(xis, len(ds) * args.steps),
+               np.tile(np.repeat(big_bs, args.steps), len(xis)),
+               np.tile(rhos, len(xis) * len(ds)), tables)
 
 
 def cmd_h_contour(args):
-    _check_count("grid", args.grid)
-    params = {"grid": args.grid}
-    lines = _csv_header("h-contour", params, args.seed)
-    lines.append("x0,b0,h")
-    xs = np.linspace(0.0, 1.0, args.grid)
-    b0s = np.linspace(0.0, 1.0, args.grid)
-    for x0 in xs:
-        for b0 in b0s:
-            lines.append(
-                f"{_fmt(float(x0))},{_fmt(float(b0))},"
-                f"{_fmt(h_function(float(x0), float(b0)))}"
-            )
-    _emit(args.out, lines)
+    check_positive_int("--grid", args.grid)
+    xs = np.linspace(0.0, 1.0, args.grid).tolist()
+    hs = [h_function(x0, b0) for x0 in xs for b0 in xs]
+    _write_csv(args, "h-contour", {"grid": args.grid}, "x0,b0,h",
+               np.repeat(xs, args.grid), xs * args.grid, hs)
 
 
 def cmd_mc_compare(args):
-    d = distribution_from_cli(args.b)
-    env = None
-    fenv = None
-    if args.regime == "slow":
-        env = make_env_process(
-            "deterministic_logistic",
-            xi_min=args.xi_min,
-            xi_max=args.xi_max,
-            n_pop=args.N,
-            r=args.r,
-            xi_inf=args.xi_inf,
-        )
-    if args.regime == "fast":
-        fenv = FastEnvSpec(p=args.p, s=args.s)
+    d = validate_distribution(_parse_floats(args.b, "--b"))
+    env = fenv = None
     # the prediction first: a regime it does not cover (the fast one at K >= 2)
     # fails before the Monte Carlo runs
     if args.regime == "slow":
-        prediction = kolmogorov_fixation(
-            d, {"r": args.r, "xi_inf": args.xi_inf}, args.start
-        )
+        env = make_env_process("deterministic_logistic", xi_min=args.xi_min,
+                               xi_max=args.xi_max, n_pop=args.N, r=args.r,
+                               xi_inf=args.xi_inf)
+        prediction = kolmogorov_fixation(d, {"r": args.r, "xi_inf": args.xi_inf},
+                                         args.start)
+    elif args.regime == "fast":
+        fenv = FastEnvSpec(p=args.p, s=args.s)
+        prediction = scale_fixation(*fast_coefficients_vec(d, fenv), args.start)
     else:
-        pair = (constant_coefficients_vec(d) if args.regime == "constant"
-                else fast_coefficients_vec(d, fenv))
-        prediction = scale_fixation(*pair, args.start)
-    estimate = run_fixation(
-        args.regime,
-        d,
-        args.N,
-        args.start,
-        args.replicates,
-        args.max_generations,
-        args.seed,
-        threads=args.threads,
-        env=env,
-        fenv=fenv,
-    )
+        prediction = scale_fixation(*constant_coefficients_vec(d), args.start)
+    estimate = run_fixation(args.regime, d, args.N, args.start, args.replicates,
+                            args.max_generations, args.seed, threads=args.threads,
+                            env=env, fenv=fenv)
     payload = {
         "estimate": estimate.to_dict(),
         "diffusion_prediction": prediction,
@@ -356,15 +309,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SeedbankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        prefix = "numerical failure" if isinstance(exc, NumericalError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

@@ -80,15 +80,6 @@ def validate_distribution(raw):
     return GerminationDistribution(raw)
 
 
-def distribution_from_cli(text):
-    """Parse a comma-separated flag value like "0.6,0.2,0.2"."""
-    try:
-        values = [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"could not parse --b value {text!r}") from exc
-    return validate_distribution(values)
-
-
 def check_seed(seed):
     """Reject a master seed that is not an integer in [0, 2**64) (a bool is
     not one): the seeds both random number generators take."""

@@ -15,7 +15,6 @@ for the non-autonomous logistic-environment fixation probability.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -447,18 +446,9 @@ def g_function(d, rho0, xi):
     return pull / xi + 0.5 * rho0**2 * (phi2 - 2.0 * big_b / den)
 
 
-@dataclass(frozen=True)
-class PdeGrid:
-    """Space/time resolution of the backward Kolmogorov solver."""
-
-    n_space: int = 201
-    dt: float = 0.005
-
-    def __post_init__(self):
-        if self.n_space < 51:
-            raise ValidationError("n_space must be at least 51")
-        if not 0 < self.dt <= 0.01:
-            raise StepSizeInvalid("dt must lie in (0, 0.01]")
+# resolution of the backward Kolmogorov solver: nodes on [0, 1] and time step
+PDE_NODES = 201
+PDE_DT = 0.005
 
 
 def _pde_operator_rows(mu, half_sig2, h):
@@ -551,7 +541,7 @@ def _settle_steps(r, xi_inf, dt):
     return k
 
 
-def kolmogorov_fixation(d, logistic, start_rho, grid=None):
+def kolmogorov_fixation(d, logistic, start_rho):
     """Fixation probability under a deterministic logistic population size.
 
     The population size follows dxi/dt = r xi (xi_inf - xi) with xi(0) = 1;
@@ -559,20 +549,18 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     Solves the backward equation du/dt + L(t) u = 0 with u(t, 0) = 0,
     u(t, 1) = 1, closing at the time the environment has settled
     (|xi - xi_inf| <= 1e-8) with the autonomous stationary profile, and
-    returns u(0, start_rho).
+    returns u(0, start_rho), on ``PDE_NODES`` nodes with step ``PDE_DT``.
 
     ``d`` is one distribution, with a scalar ``start_rho`` (a float is
     returned), or a sequence of distributions with an array of one start per
-    distribution (an array is returned).  The settle time, dt and the grid
-    depend only on the logistic, so a batch marches in lock-step: phi'' on
-    the grid is one call of the batch's ``drift_factor_fn`` (one closed-form
-    evaluation on columns when all share K <= 2), each Crank-Nicolson step
-    builds the operator rows of every distribution at once and solves all
-    their systems in one LAPACK call, and each result is bit for bit that of
-    a call with its distribution alone.
+    distribution (an array is returned).  The settle time depends only on
+    the logistic, so a batch marches in lock-step: phi'' on the grid is one
+    call of the batch's ``drift_factor_fn`` (one closed-form evaluation on
+    columns when all share K <= 2), each Crank-Nicolson step builds the
+    operator rows of every distribution at once and solves all their systems
+    in one LAPACK call, and each result is bit for bit that of a call with
+    its distribution alone.
     """
-    if grid is None:
-        grid = PdeGrid()
     r = float(logistic["r"])
     xi_inf = float(logistic["xi_inf"])
     if not (0.0 < r < math.inf and 0.0 < xi_inf < math.inf):
@@ -585,15 +573,14 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
         raise ValidationError("start_rho needs one start per distribution")
     if not np.all((starts > 0.0) & (starts < 1.0)):
         raise ValidationError("start_rho must lie in (0, 1)")
-    n_steps = _settle_steps(r, xi_inf, grid.dt)
+    n_steps = _settle_steps(r, xi_inf, PDE_DT)
     # deferred: scipy.linalg is slow to import; resolved once, not per step
     from scipy.linalg.lapack import dgtsv
 
     # (batch, interior node) arrays
     big_b = np.array([[di.mean_time] for di in ds])
-    n = grid.n_space
-    h = 1.0 / (n - 1)
-    rho = np.linspace(0.0, 1.0, n)
+    h = 1.0 / (PDE_NODES - 1)
+    rho = np.linspace(0.0, 1.0, PDE_NODES)
     interior = rho[1:-1]
     phi2_grid = drift_factor_fn(ds)(interior)
     _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
@@ -606,7 +593,7 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     # terminal condition: discrete stationary profile of the autonomous
     # operator at xi_inf (exactly stationary under the scheme by construction)
     sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
-    u = np.zeros((len(ds), n))
+    u = np.zeros((len(ds), PDE_NODES))
     u[:, -1] = 1.0  # Dirichlet u(0) = 0, u(1) = 1
     rhs = np.zeros_like(diag)
     rhs[:, -1] = -sup[:, -1]
@@ -618,10 +605,10 @@ def kolmogorov_fixation(d, logistic, start_rho, grid=None):
     # and the last digit of the results
     t_switch = 0.0
     for _ in range(n_steps):
-        t_switch += grid.dt
-    lam = 0.5 * grid.dt
-    t_new = t_switch - np.arange(1, n_steps + 1) * grid.dt
-    for xi in logistic_xi(r, xi_inf, t_new + 0.5 * grid.dt):
+        t_switch += PDE_DT
+    lam = 0.5 * PDE_DT
+    t_new = t_switch - np.arange(1, n_steps + 1) * PDE_DT
+    for xi in logistic_xi(r, xi_inf, t_new + 0.5 * PDE_DT):
         sub, diag, sup = _pde_operator_rows(*coefficients(xi), h)
         # explicit half
         v = u[:, 1:-1]

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-Two broad families matter for the CLI exit codes: ``ValidationError``
-(bad user input, exit code 2) and ``NumericalError`` (a computation
-failed or an assumption was violated at runtime, exit code 3).
+Each class carries the CLI exit code in ``exit_code``, which the CLI returns
+for an error it catches.  Two broad families matter: ``ValidationError``
+(bad user input, exit code 2) and ``NumericalError`` (a computation failed
+or an assumption was violated at runtime, exit code 3).
 """
 
 

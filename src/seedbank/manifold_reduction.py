@@ -15,7 +15,7 @@ with the remaining spectrum strictly stable, this module computes:
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,21 +33,27 @@ JAC_FD_STEP = 1e-6
 HESS_FD_STEP = 1e-4
 VPRIME_FD_STEP = 1e-5
 NULL_TOL = 1e-8
+# theta_integral's first horizon and Simpson step
+THETA_T_MAX = 20.0
+THETA_QUAD_STEP = 0.005
+# project_to_manifold's integration chunk and chunk budget
+PROJECT_CHUNK_T = 50.0
+PROJECT_MAX_CHUNKS = 200
 
 
-def fd_jacobian(func, x, step=JAC_FD_STEP):
+def fd_jacobian(func, x):
     """Central-difference Jacobian of a vector field at x."""
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(func(x))
     jac = np.empty((f0.size, x.size))
     for j in range(x.size):
         e = np.zeros_like(x)
-        e[j] = step
-        jac[:, j] = (np.asarray(func(x + e)) - np.asarray(func(x - e))) / (2 * step)
+        e[j] = JAC_FD_STEP
+        jac[:, j] = (np.asarray(func(x + e)) - np.asarray(func(x - e))) / (2 * JAC_FD_STEP)
     return jac
 
 
-def fd_hessians(func, x, step=HESS_FD_STEP):
+def fd_hessians(func, x):
     """Central-difference Hessians of each component of a vector field at x.
 
     Returns a list of symmetric (dim x dim) matrices, one per component.
@@ -59,21 +65,21 @@ def fd_hessians(func, x, step=HESS_FD_STEP):
     hess = [np.empty((n, n)) for _ in range(m)]
     for a in range(n):
         ea = np.zeros(n)
-        ea[a] = step
+        ea[a] = HESS_FD_STEP
         fpp = np.asarray(func(x + ea))
         fmm = np.asarray(func(x - ea))
-        diag = (fpp - 2 * f0 + fmm) / step**2
+        diag = (fpp - 2 * f0 + fmm) / HESS_FD_STEP**2
         for comp in range(m):
             hess[comp][a, a] = diag[comp]
         for c in range(a + 1, n):
             ec = np.zeros(n)
-            ec[c] = step
+            ec[c] = HESS_FD_STEP
             cross = (
                 np.asarray(func(x + ea + ec))
                 - np.asarray(func(x + ea - ec))
                 - np.asarray(func(x - ea + ec))
                 + np.asarray(func(x - ea - ec))
-            ) / (4 * step**2)
+            ) / (4 * HESS_FD_STEP**2)
             for comp in range(m):
                 hess[comp][a, c] = cross[comp]
                 hess[comp][c, a] = cross[comp]
@@ -146,7 +152,7 @@ def diagonal_chart(dim):
     )
 
 
-def null_eigenpair(j, zero_tol=NULL_TOL):
+def null_eigenpair(j):
     """Right/left null eigenvectors (u, v) of j with <u, v> = 1.
 
     u is normalized so its first nonzero coordinate (preferring the first
@@ -154,9 +160,9 @@ def null_eigenpair(j, zero_tol=NULL_TOL):
     """
     j = np.asarray(j, dtype=float)
     eigvals = np.linalg.eigvals(j)
-    near_zero = np.abs(eigvals) < zero_tol
+    near_zero = np.abs(eigvals) < NULL_TOL
     if not near_zero.any():
-        raise NoNullEigenvalue(f"no eigenvalue within {zero_tol} of 0: {eigvals}")
+        raise NoNullEigenvalue(f"no eigenvalue within {NULL_TOL} of 0: {eigvals}")
     if near_zero.sum() > 1:
         raise MultipleNullEigenvalues(f"{near_zero.sum()} eigenvalues near 0: {eigvals}")
 
@@ -179,14 +185,14 @@ def null_eigenpair(j, zero_tol=NULL_TOL):
     return u, v
 
 
-def spectrum_gate(j, zero_tol=NULL_TOL):
+def spectrum_gate(j):
     """Verify one null eigenvalue with the rest inside D(1) = {|z + 1| < 1}.
 
     Returns the spectrum on success; raises SpectrumViolation otherwise.
     """
     j = np.asarray(j, dtype=float)
     eigvals = np.linalg.eigvals(j)
-    near_zero = np.abs(eigvals) < zero_tol
+    near_zero = np.abs(eigvals) < NULL_TOL
     if near_zero.sum() != 1:
         raise SpectrumViolation(
             f"expected exactly one null eigenvalue, found {near_zero.sum()}",
@@ -304,12 +310,14 @@ def solve_theta(j, hessians, v, p_s, u):
     return theta
 
 
-def theta_integral(j, hessians, v, p_s, t_max=20.0, quad_step=0.005):
+def theta_integral(j, hessians, v, p_s):
     """Theta via the integral formula -int_0^inf e^{J^T t} C e^{J t} dt.
 
-    Composite Simpson quadrature on a uniform grid, propagating e^{J t} by
-    repeated multiplication with one precomputed step exponential.  t_max is
-    doubled until the integrand's max-norm at the endpoint drops below 1e-12.
+    Composite Simpson quadrature on a uniform grid of step at most
+    ``THETA_QUAD_STEP``, propagating e^{J t} by repeated multiplication with
+    one precomputed step exponential.  The horizon starts at ``THETA_T_MAX``
+    and is doubled until the integrand's max-norm at the endpoint drops below
+    1e-12.
     """
     from scipy.linalg import expm  # deferred: scipy.linalg is slow to import
 
@@ -318,9 +326,10 @@ def theta_integral(j, hessians, v, p_s, t_max=20.0, quad_step=0.005):
     if np.max(np.abs(c_mat)) == 0.0:
         return np.zeros_like(j)
 
+    t_max = THETA_T_MAX
     t_cap = 20_000.0
     while True:
-        n_steps = int(np.ceil(t_max / quad_step))
+        n_steps = int(np.ceil(t_max / THETA_QUAD_STEP))
         if n_steps % 2 == 1:
             n_steps += 1
         h = t_max / n_steps
@@ -351,7 +360,7 @@ def theta_integral(j, hessians, v, p_s, t_max=20.0, quad_step=0.005):
             )
 
 
-def phi0_derivatives(chart, x0, v_fn, theta, v_prime_fn=None, step=VPRIME_FD_STEP):
+def phi0_derivatives(chart, x0, v_fn, theta, v_prime_fn=None):
     """First and second derivatives of the projection map's first component.
 
     ``v_fn`` maps the chart parameter to the normalized left null eigenvector.
@@ -368,41 +377,33 @@ def phi0_derivatives(chart, x0, v_fn, theta, v_prime_fn=None, step=VPRIME_FD_STE
     if v_prime_fn is not None:
         vp = np.asarray(v_prime_fn(x0), dtype=float)
     else:
-        lo = max(x0 - step, 0.0)
-        hi = min(x0 + step, 1.0)
+        lo = max(x0 - VPRIME_FD_STEP, 0.0)
+        hi = min(x0 + VPRIME_FD_STEP, 1.0)
         vp = (np.asarray(v_fn(hi)) - np.asarray(v_fn(lo))) / (hi - lo)
     correction = 2.0 * (vp @ gp) + v @ gss
-    n = v.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        for j_idx in range(i, n):
-            val = (
-                vp[i] * grad[j_idx]
-                + vp[j_idx] * grad[i]
-                - theta[i, j_idx]
-                - grad[i] * grad[j_idx] * correction
-            ) / denom
-            hess[i, j_idx] = val
-            hess[j_idx, i] = val
-    return grad, hess
+    vp_grad = np.outer(vp, grad)
+    full = (vp_grad + vp_grad.T - theta - np.outer(grad, grad) * correction) / denom
+    # theta's upper triangle only, mirrored
+    upper = np.triu(np.ones(full.shape, dtype=bool))
+    return grad, np.where(upper, full, full.T)
 
 
-def project_to_manifold(flow, x, tol=1e-10, chunk_t=50.0, max_chunks=200):
+def project_to_manifold(flow, x, tol=1e-10):
     """Infinite-time limit of the flow from x, by adaptive ODE integration.
 
-    Integrates in chunks until the field's norm at the endpoint drops below
-    ``tol``.
+    Integrates in chunks of ``PROJECT_CHUNK_T`` until the field's norm at the
+    endpoint drops below ``tol``, at most ``PROJECT_MAX_CHUNKS`` of them.
     """
     from scipy.integrate import solve_ivp  # deferred: slow to import
 
     y = np.asarray(x, dtype=float)
     flow._check_domain(y)
-    for _ in range(max_chunks):
+    for _ in range(PROJECT_MAX_CHUNKS):
         if np.linalg.norm(flow.func(y)) < tol:
             return y
         sol = solve_ivp(
             lambda t, z: flow.func(z),
-            (0.0, chunk_t),
+            (0.0, PROJECT_CHUNK_T),
             y,
             method="RK45",
             rtol=1e-11,
@@ -428,16 +429,7 @@ class ReductionResult:
     phi0_hess: np.ndarray
 
     def to_dict(self):
-        return {
-            "point": self.point.tolist(),
-            "u": self.u.tolist(),
-            "v": self.v.tolist(),
-            "p_c": self.p_c.tolist(),
-            "p_s": self.p_s.tolist(),
-            "theta": self.theta.tolist(),
-            "phi0_grad": self.phi0_grad.tolist(),
-            "phi0_hess": self.phi0_hess.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def reduce_point(flow, chart, x0):

@@ -163,19 +163,15 @@ def jacobian_on_gamma(kind, x0):
     core = np.zeros((k + 1, k + 1))
     core[0, 0] = -(1.0 - b[0]) * one_minus
     core[0, 1:] = b[1:] * one_minus
-    for i in range(1, k + 1):
-        core[i, i - 1] = 1.0
-        core[i, i] = -1.0
+    # ageing rows: 1 below the diagonal, -1 on it
+    core[1:] = np.eye(k, k + 1) - np.eye(k, k + 1, 1)
     if kind.tag in ("constant", "linearized"):
         return core
     if kind.tag == "fast_env":
         jac = np.zeros((2 * k + 1, 2 * k + 1))
         jac[: k + 1, : k + 1] = core
         jac[0, k + 1 :] = b[1:] * x0 * one_minus
-        for i in range(k):
-            jac[k + 1 + i, k + 1 + i] = -1.0
-            if i >= 1:
-                jac[k + 1 + i, k + i] = 1.0
+        jac[k + 1 :, k + 1 :] = np.eye(k, k, -1) - np.eye(k)  # the marks age likewise
         return jac
     raise UnsupportedK("no closed-form manifold Jacobian for the slow_env flow")
 
@@ -253,13 +249,11 @@ def hessians_on_gamma(kind, x0):
         x0_mark = 2.0 * b[1:] * (1.0 - b[0]) * x * one_minus - b[1:] * x
         h[0, k + 1 :] = x0_mark
         h[k + 1 :, 0] = x0_mark
-        for i in range(1, k + 1):
-            for j in range(k):
-                val = -2.0 * b[i] * b[j + 1] * x * one_minus
-                if i == j + 1:
-                    val += b[i] * one_minus
-                h[i, k + 1 + j] = val
-                h[k + 1 + j, i] = val
+        mixed = -2.0 * np.outer(b[1:], b[1:]) * x * one_minus
+        diag = np.arange(k)
+        mixed[diag, diag] += b[1:] * one_minus
+        h[1 : k + 1, k + 1 :] = mixed
+        h[k + 1 :, 1 : k + 1] = mixed.T
         # mark-mark block
         h[k + 1 :, k + 1 :] = -2.0 * np.outer(b[1:], b[1:]) * x**2 * one_minus
         return [h] + [np.zeros((dim, dim)) for _ in range(dim - 1)]

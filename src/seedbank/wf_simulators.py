@@ -34,7 +34,7 @@ genetic channel.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -224,15 +224,7 @@ class FixationEstimate:
     master_seed: int
 
     def to_dict(self):
-        return {
-            "p_hat": self.p_hat,
-            "std_err": self.std_err,
-            "replicates": self.replicates,
-            "fixed_count": self.fixed_count,
-            "lost_count": self.lost_count,
-            "censored_count": self.censored_count,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 def _run_block(regime, d, n_pop, start_count, block_size, master_seed,

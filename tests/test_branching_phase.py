@@ -24,6 +24,27 @@ def test_mean_matrix_examples():
     assert np.all(m[0, 1:] == 0.0)
 
 
+def loop_mean_matrix(spec):
+    """Per-element reference for ``mean_matrix``."""
+    b, k, m_scale = spec.d.array, spec.d.k, spec.poisson_scale
+    mat = np.zeros((k + 1, k + 1))
+    mat[0, 0] = b[0]
+    mat[0, 1:] = m_scale * b[1:]
+    mat[1, 0] = 1.0 / m_scale
+    for i in range(2, k + 1):
+        mat[i, i - 1] = 1.0
+    return mat
+
+
+def test_mean_matrix_matches_per_element_loop():
+    rng = np.random.default_rng(31)
+    for k in range(1, 7):
+        for _ in range(10):
+            spec = BranchingSpec(random_simplex(rng, k),
+                                 poisson_scale=float(rng.uniform(1.5, 50.0)))
+            assert mean_matrix(spec).tobytes() == loop_mean_matrix(spec).tobytes()
+
+
 def test_spectral_radius_is_one():
     rng = np.random.default_rng(3)
     for _ in range(20):

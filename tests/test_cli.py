@@ -92,6 +92,59 @@ def test_fixation_heatmap_rows_equal_per_cell_solves(tmp_path, y):
     assert rows[1:] == want
 
 
+def csv_rows(tmp_path, argv):
+    rc, out = run(tmp_path, "figure.csv", argv)
+    assert rc == 0
+    return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+
+def csv_row(*values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def test_figure_rows_equal_per_row_calls(tmp_path):
+    # each row holds the library's values for that row, repr of a float, in
+    # the order of the loops below
+    rhos = np.linspace(0.0, 1.0, 5)
+    want = ["xi,B,rho0,g"]
+    for xi in (0.8, 1.2):
+        for big_b in (0.1, 0.5):
+            d = seedbank.validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
+                                                big_b / 3.0])
+            want += [csv_row(xi, big_b, rho, g)
+                     for rho, g in zip(rhos, seedbank.g_function(d, rhos, xi))]
+    assert csv_rows(tmp_path, ["g-plot", "--B", "0.1,0.5", "--xi", "0.8,1.2",
+                               "--steps", "5"]) == want
+
+    ys = np.linspace(0.0, 0.5, 4)
+    want = ["B,y,psi"] + [csv_row(big_b, y, seedbank.psi(big_b, float(y)))
+                          for big_b in (0.0, 1.5) for y in ys]
+    assert csv_rows(tmp_path, ["psi-curve", "--B", "0,1.5", "--ymax", "0.5",
+                               "--steps", "3"]) == want
+
+    want = ["xi_inf,b0,fixation"]
+    for xi_inf in (0.8, 1.2):
+        for b0 in np.linspace(0.0, 1.0, 4)[1:]:
+            d = seedbank.validate_distribution([b0, 1.0 - b0])
+            fix = seedbank.kolmogorov_fixation(d, {"r": 20.0, "xi_inf": xi_inf},
+                                               seedbank.psi(d.mean_time, 0.01))
+            want.append(csv_row(xi_inf, b0, fix))
+    assert csv_rows(tmp_path, ["fixation-vs-b0", "--xi-inf", "0.8,1.2", "--steps",
+                               "3"]) == want
+
+    want = ["b0,x0,d2phi0_dx02"]
+    for b0 in np.linspace(0.0, 1.0, 5)[1:]:
+        d = seedbank.validate_distribution([b0, 1.0 - b0])
+        want += [csv_row(b0, x0, seedbank.drift_second_derivative(d, x0))
+                 for x0 in np.linspace(0.0, 1.0, 4)]
+    assert csv_rows(tmp_path, ["drift-surface", "--grid", "4"]) == want
+
+    xs = np.linspace(0.0, 1.0, 5).tolist()
+    want = ["x0,b0,h"] + [csv_row(x0, b0, seedbank.h_function(x0, b0))
+                          for x0 in xs for b0 in xs]
+    assert csv_rows(tmp_path, ["h-contour", "--grid", "5"]) == want
+
+
 def test_fixation_vs_b0(tmp_path):
     argv = ["fixation-vs-b0", "--xi-inf", "0.9,1.1", "--r", "20", "--steps", "3",
             "--y", "0.01"]
@@ -197,7 +250,7 @@ def test_exit_codes(tmp_path, capsys):
     rc = main(["mc-compare", "--regime", "constant", "--b", "0.5,oops",
                "--N", "50", "--start", "0.2", "--replicates", "200"])
     assert rc == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: could not parse --b value")
 
     # a NaN germination entry (once numpy's binomial ValueError mid-run)
     rc = main(["mc-compare", "--regime", "constant", "--b", "nan,0.5", "--N", "30",

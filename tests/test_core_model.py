@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from seedbank import (
     FastEnvSpec,
     SlowEnvSpec,
-    distribution_from_cli,
     tail_sums,
     validate_distribution,
 )
@@ -58,13 +57,6 @@ def test_validation_accepts_and_rejects():
     for bad in ("10", "0.5", b"10", ["abc", 0.5], [None, 1.0], 0.5, [[0.5], [0.5]]):
         with pytest.raises(ValidationError):
             validate_distribution(bad)
-
-
-def test_parsers():
-    d = distribution_from_cli("0.6,0.2,0.2")
-    assert d.b == (0.6, 0.2, 0.2) and d.k == 2
-    with pytest.raises(ValidationError):
-        distribution_from_cli("0.5,oops")
 
 
 @settings(max_examples=50, deadline=None)

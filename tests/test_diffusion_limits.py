@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from seedbank import (
     FastEnvSpec,
-    PdeGrid,
     SlowEnvSpec,
     g_function,
     kolmogorov_fixation,
@@ -634,13 +633,6 @@ def test_g_function_broadcasts_over_xi():
         assert table.shape == (3, 21)
         for xi, row in zip(xis, table):
             np.testing.assert_array_equal(row, g_function(d, rhos, float(xi)))
-
-
-def test_pde_grid_validation():
-    with pytest.raises(ValidationError):
-        PdeGrid(n_space=10)
-    with pytest.raises(ValidationError):
-        PdeGrid(dt=0.5)
 
 
 def loop_operator_rows(mu, half_sig2, h):

@@ -14,6 +14,7 @@ from seedbank import (
     fd_jacobian,
     hessians_on_gamma,
     jacobian_on_gamma,
+    manifold_chart,
     null_eigenpair,
     phi0_derivatives,
     project_to_manifold,
@@ -32,7 +33,8 @@ from seedbank.errors import (
     SingularSystem,
     SpectrumViolation,
 )
-from seedbank.manifold_reduction import lyapunov_rhs
+from seedbank.manifold_reduction import VPRIME_FD_STEP, lyapunov_rhs
+from seedbank.seedbank_flows import left_eigvec_prime
 from conftest import random_simplex
 
 
@@ -275,6 +277,51 @@ def test_phi0_derivative_closed_forms():
         assert abs(v @ gp - 1.0) < 1e-12
         assert abs(u @ v - 1.0) < 1e-12
         assert abs(grad @ gp - 1.0) < 1e-10
+
+
+def loop_phi0_hessian(chart, x0, v_fn, theta, v_prime_fn):
+    """Per-element reference for the Hessian of ``phi0_derivatives``: reads
+    theta's upper triangle only."""
+    v = np.asarray(v_fn(x0), dtype=float)
+    gp = np.asarray(chart.gamma_prime(x0), dtype=float)
+    gss = np.asarray(chart.gamma_second(x0), dtype=float)
+    denom = v @ gp
+    grad = v / denom
+    if v_prime_fn is not None:
+        vp = np.asarray(v_prime_fn(x0), dtype=float)
+    else:
+        lo, hi = max(x0 - VPRIME_FD_STEP, 0.0), min(x0 + VPRIME_FD_STEP, 1.0)
+        vp = (np.asarray(v_fn(hi)) - np.asarray(v_fn(lo))) / (hi - lo)
+    correction = 2.0 * (vp @ gp) + v @ gss
+    n = v.size
+    hess = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            val = (vp[i] * grad[j] + vp[j] * grad[i] - theta[i, j]
+                   - grad[i] * grad[j] * correction) / denom
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess
+
+
+def test_phi0_hessian_matches_per_element_loop():
+    # bit for bit, with a theta that is not symmetric, so that reading its
+    # lower triangle would show
+    rng = np.random.default_rng(37)
+    for k in range(1, 7):
+        for _ in range(6):
+            d = random_simplex(rng, k)
+            for tag in ("constant", "fast_env"):
+                kind = FlowKind(tag, d)
+                chart = manifold_chart(kind)
+                dim = d.k + 1 if tag == "constant" else 2 * d.k + 1
+                theta = rng.standard_normal((dim, dim))
+                for x0 in (0.0, 1.0, float(rng.random())):
+                    for vp_fn in (lambda s: left_eigvec_prime(kind, s), None):
+                        args = (chart, x0, lambda s: eigvecs_on_gamma(kind, s)[1], theta)
+                        _, hess = phi0_derivatives(*args, v_prime_fn=vp_fn)
+                        want = loop_phi0_hessian(*args, vp_fn)
+                        assert hess.tobytes() == want.tobytes(), (tag, d, x0)
 
 
 def test_phi0_hess_k1_matches_drift():

@@ -130,6 +130,66 @@ def test_closed_hessians_match_finite_differences():
                 np.testing.assert_allclose(a, b, atol=5e-6)
 
 
+def loop_jacobian_on_gamma(kind, x0):
+    """Per-element reference for ``jacobian_on_gamma``."""
+    b, k = kind.d.array, kind.d.k
+    one_minus = 1.0 - x0
+    core = np.zeros((k + 1, k + 1))
+    core[0, 0] = -(1.0 - b[0]) * one_minus
+    core[0, 1:] = b[1:] * one_minus
+    for i in range(1, k + 1):
+        core[i, i - 1] = 1.0
+        core[i, i] = -1.0
+    if kind.tag != "fast_env":
+        return core
+    jac = np.zeros((2 * k + 1, 2 * k + 1))
+    jac[: k + 1, : k + 1] = core
+    jac[0, k + 1 :] = b[1:] * x0 * one_minus
+    for i in range(k):
+        jac[k + 1 + i, k + 1 + i] = -1.0
+        if i >= 1:
+            jac[k + 1 + i, k + i] = 1.0
+    return jac
+
+
+def loop_fast_env_hessian(kind, x0):
+    """Per-element reference for the first fast_env Hessian of
+    ``hessians_on_gamma``; its top-left block is the constant flow's."""
+    b, k = kind.d.array, kind.d.k
+    x, one_minus = x0, 1.0 - x0
+    h = np.zeros((2 * k + 1, 2 * k + 1))
+    h[: k + 1, : k + 1] = hessians_on_gamma(FlowKind("constant", kind.d), x0)[0]
+    x0_mark = 2.0 * b[1:] * (1.0 - b[0]) * x * one_minus - b[1:] * x
+    h[0, k + 1 :] = x0_mark
+    h[k + 1 :, 0] = x0_mark
+    for i in range(1, k + 1):
+        for j in range(k):
+            val = -2.0 * b[i] * b[j + 1] * x * one_minus
+            if i == j + 1:
+                val += b[i] * one_minus
+            h[i, k + 1 + j] = val
+            h[k + 1 + j, i] = val
+    h[k + 1 :, k + 1 :] = -2.0 * np.outer(b[1:], b[1:]) * x**2 * one_minus
+    return h
+
+
+def test_manifold_derivatives_match_per_element_loops():
+    # bit for bit, signed zeros included (x0 = 0 gives -0.0 entries)
+    rng = np.random.default_rng(29)
+    for k in range(1, 7):
+        for _ in range(10):
+            d = random_simplex(rng, k)
+            for x0 in (0.0, 1.0, float(rng.random())):
+                for tag in ("constant", "linearized", "fast_env"):
+                    kind = FlowKind(tag, d)
+                    assert (jacobian_on_gamma(kind, x0).tobytes()
+                            == loop_jacobian_on_gamma(kind, x0).tobytes()), (tag, d, x0)
+                hess = hessians_on_gamma(FlowKind("fast_env", d), x0)
+                want = loop_fast_env_hessian(FlowKind("fast_env", d), x0)
+                assert hess[0].tobytes() == want.tobytes(), (d, x0)
+                assert len(hess) == 2 * k + 1 and not any(h.any() for h in hess[1:])
+
+
 def test_eigvecs_examples():
     d = validate_distribution([0.5, 0.5])
     u, v = eigvecs_on_gamma(FlowKind("constant", d), 0.0)
