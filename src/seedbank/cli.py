@@ -92,10 +92,10 @@ def cmd_psi_curve(args):
         raise ValidationError("B values must be non-negative and finite")
     if not 0.0 < args.ymax < math.inf:
         raise ValidationError(f"--ymax must be positive and finite, got {args.ymax}")
-    ys = np.linspace(0.0, args.ymax, args.steps + 1).tolist()
-    psis = [psi(big_b, y) for big_b in b_values for y in ys]
+    ys = np.linspace(0.0, args.ymax, args.steps + 1)
     _write_csv(args, "psi-curve", {"B": args.B, "ymax": args.ymax, "steps": args.steps},
-               "B,y,psi", np.repeat(b_values, len(ys)), ys * len(b_values), psis)
+               "B,y,psi", np.repeat(b_values, ys.size), np.tile(ys, len(b_values)),
+               psi(np.array(b_values)[:, None], ys))
 
 
 def cmd_drift_surface(args):
@@ -115,12 +115,10 @@ def cmd_fixation_heatmap(args):
     qs = np.linspace(0.0, 1.0, args.grid)
     ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
           for b0 in b0s for q in qs]
-    # psi and the bound per cell, on scalars: on an array psi's (B + 1)**2 is
-    # a multiply, on a scalar a C pow, and 2 of the README map's 2,500 starts
-    # would move in the last bit; one batched scale solve for the map
-    starts = [psi(d.mean_time, y) for d in ds]
+    big_bs = np.array([d.mean_time for d in ds])
+    starts = psi(big_bs, y)
     fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
-    bounds = [_bounding_fixation(d.mean_time, start) for d, start in zip(ds, starts)]
+    bounds = _bounding_fixation(big_bs, starts)
     _write_csv(args, "fixation-heatmap", {"grid": args.grid, "y": y},
                "b0,q,fixation,psi_bound,difference", np.repeat(b0s, args.grid),
                np.tile(qs, args.grid), fixes, bounds, np.subtract(bounds, fixes))
@@ -131,7 +129,7 @@ def cmd_fixation_vs_b0(args):
     xi_infs = _parse_floats(args.xi_inf, "--xi-inf")
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
     ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
-    starts = [psi(d.mean_time, args.y) for d in ds]
+    starts = psi([d.mean_time for d in ds], args.y)
     fixes = [kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
              for xi_inf in xi_infs]
     params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
@@ -170,10 +168,10 @@ def cmd_g_plot(args):
 
 def cmd_h_contour(args):
     check_positive_int("--grid", args.grid)
-    xs = np.linspace(0.0, 1.0, args.grid).tolist()
-    hs = [h_function(x0, b0) for x0 in xs for b0 in xs]
-    _write_csv(args, "h-contour", {"grid": args.grid}, "x0,b0,h",
-               np.repeat(xs, args.grid), xs * args.grid, hs)
+    xs = np.linspace(0.0, 1.0, args.grid)
+    x0s, b0s = np.repeat(xs, args.grid), np.tile(xs, args.grid)
+    _write_csv(args, "h-contour", {"grid": args.grid}, "x0,b0,h", x0s, b0s,
+               h_function(x0s, b0s))
 
 
 def cmd_mc_compare(args):
@@ -199,7 +197,7 @@ def cmd_mc_compare(args):
         "estimate": estimate.to_dict(),
         "diffusion_prediction": prediction,
     }
-    _emit(args.out, [json.dumps(payload, indent=2, sort_keys=True)])
+    _emit(args.out, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
 
 
 def cmd_reduce(args):
@@ -218,8 +216,8 @@ def cmd_reduce(args):
     flow.jac = lambda x: jacobian_on_gamma(kind, x[0])
     flow.hess = lambda x: hessians_on_gamma(kind, x[0])
     chart = manifold_chart(kind)
-    result = reduce_point(flow, chart, float(x0))
-    _emit(args.out, [json.dumps(result.to_dict(), indent=2, sort_keys=True)])
+    result = reduce_point(flow, chart, float(x0)).to_dict()
+    _emit(args.out, [json.dumps(result, indent=2, sort_keys=True, allow_nan=False)])
 
 
 def build_parser():

@@ -30,38 +30,7 @@ from .errors import (
     UnsupportedK,
     ValidationError,
 )
-from .seedbank_flows import (
-    batched_drift_fn,
-    closed_drift_fn,
-    h_function,
-)
-
-
-def drift_factor_fn(d):
-    """Second derivative of the projection map as a callable of x0, scalar or
-    array: the phi'' of every diffusion limit in this module.
-
-    Uses the closed K <= 2 forms (which equal the engine output).  For deeper
-    seed banks it is ``batched_drift_fn``: exact, with one Schur
-    factorisation per distribution and one K x K solve per point, all points
-    of a call batched, each checked against the full Lyapunov equation.
-    ``drift_second_derivative`` keeps the direct per-point solve as the
-    oracle.  Build the callable once per distribution and call it on arrays.
-
-    For a sequence of M distributions the callable maps an (n,) array x0 to
-    (M, n) rows, each bit for bit the distribution's own: one closed-form
-    evaluation on columns when all share K <= 2 (``closed_drift_fn``),
-    else one call per distribution.
-    """
-    if isinstance(d, GerminationDistribution):
-        return closed_drift_fn(d) if d.k <= 2 else batched_drift_fn(d)
-    ds = list(d)
-    if not ds:
-        raise ValidationError("a batch needs at least one distribution")
-    if {di.k for di in ds} in ({1}, {2}):
-        return closed_drift_fn(ds)
-    rows = [drift_factor_fn(di) for di in ds]
-    return lambda x0: np.array([fn(x0) for fn in rows])
+from .seedbank_flows import drift_factor_fn, h_function
 
 
 # drift/diffusion coefficients of a limiting diffusion: drift(y) returns a
@@ -75,11 +44,12 @@ def constant_coefficients_vec(d):
     of x (a scalar or an array):
     mu(x) = x (1 - x) phi''(x) / 2 and sigma(x) = sqrt(x (1 - x)) / (B (1 - x) + 1).
 
-    ``d`` is one distribution, or a sequence of M distributions: then both
-    callables map an (n,) array x to (M, n) values, one row per distribution
-    (phi'' from the batch's ``drift_factor_fn``, one closed-form evaluation on
-    columns when all share K <= 2; B a column), each row bit for bit the
-    single pair's values, as ``scale_fixation`` takes a batch.
+    Both are built from correctly rounded operations only (no powers), so
+    a scalar x gives the value it has inside an array, bit for bit.  ``d`` is
+    one distribution, or a sequence of M distributions: then both callables
+    map an (n,) array x to (M, n) values, one row per distribution (phi''
+    from the batch's ``drift_factor_fn``; B a column), each row bit for bit
+    the single pair's values, as ``scale_fixation`` takes a batch.
     """
     if isinstance(d, GerminationDistribution):
         big_b = d.mean_time
@@ -137,9 +107,9 @@ def _slow_factors(big_b, rho, phi2):
     """
     rho_fac = rho * (1.0 - rho)
     den = big_b * (1.0 - rho) + 1.0
-    den2 = den**2
+    den2 = den * den
     return (den, 0.5 * phi2 * rho_fac, big_b * rho_fac / den, rho_fac / den2,
-            0.5 * rho**2 * (phi2 - 2.0 * big_b / den2))
+            0.5 * (rho * rho) * (phi2 - 2.0 * big_b / den2))
 
 
 def slow_coefficients_vec(d, env):
@@ -163,8 +133,8 @@ def slow_coefficients_vec(d, env):
 
     def drift_vec(rho, xi):
         _, selection, pull, _, ito = factors(rho)
-        a = alpha(xi)
-        return (selection - pull * a) / xi + eta(xi)**2 * (pull + ito) / xi**2, a
+        a, e = alpha(xi), eta(xi)
+        return (selection - pull * a) / xi + e * e * (pull + ito) / (xi * xi), a
 
     def diff_vec(rho, xi):
         _, _, pull, variance, _ = factors(rho)
@@ -443,7 +413,7 @@ def g_function(d, rho0, xi):
     big_b = d.mean_time
     phi2 = drift_factor_fn(d)(rho0)
     den, _, pull, _, _ = _slow_factors(big_b, rho0, phi2)
-    return pull / xi + 0.5 * rho0**2 * (phi2 - 2.0 * big_b / den)
+    return pull / xi + 0.5 * (rho0 * rho0) * (phi2 - 2.0 * big_b / den)
 
 
 # resolution of the backward Kolmogorov solver: nodes on [0, 1] and time step
@@ -555,8 +525,8 @@ def kolmogorov_fixation(d, logistic, start_rho):
     returned), or a sequence of distributions with an array of one start per
     distribution (an array is returned).  The settle time depends only on
     the logistic, so a batch marches in lock-step: phi'' on the grid is one
-    call of the batch's ``drift_factor_fn`` (one closed-form evaluation on
-    columns when all share K <= 2), each Crank-Nicolson step builds the
+    call of the batch's ``drift_factor_fn`` (rows that equal each bank's
+    own phi'' bit for bit), each Crank-Nicolson step builds the
     operator rows of every distribution at once and solves all their systems
     in one LAPACK call, and each result is bit for bit that of a call with
     its distribution alone.

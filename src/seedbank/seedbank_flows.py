@@ -14,7 +14,8 @@ Alongside the generic engine interface (build_flow + closed Jacobians,
 eigenvectors and Hessians on the manifold), this module exposes the headline
 scalar quantities: the second derivative of the projection map (the diffusion
 drift factor), its closed K=1 and K=2 forms and upper bound, the fast-regime
-mixed second derivatives for K=1, and the extra-drift function h.
+mixed second derivatives for K=1, the extra-drift function h, and
+``drift_factor_fn``, which picks the drift factor of every diffusion limit.
 """
 
 import functools
@@ -300,7 +301,7 @@ def delta_matrix(d):
 def drift_bound(big_b, x0):
     """Upper bound B(B(1-x0)+2)/(B(1-x0)+1)^3 for the drift second derivative."""
     den = big_b * (1.0 - x0) + 1.0
-    return big_b * (big_b * (1.0 - x0) + 2.0) / den**3
+    return big_b * (big_b * (1.0 - x0) + 2.0) / (den * den * den)
 
 
 def _deflated_drift_pieces(d):
@@ -408,57 +409,64 @@ def batched_drift_fn(d):
     return phi2
 
 
-def _k1_constants(b0):
-    q = 1.0 - b0
-    return q, q**2
-
-
-def _k1_closed(q, q2, x0):
-    den = q * (1.0 - x0) + 1.0
-    return q * (2.0 - q2 * (1.0 - x0) ** 2) / den**3
-
-
 def drift_k1_closed(b0, x0):
     """Closed-form drift second derivative for dormancy depth one."""
-    return _k1_closed(*_k1_constants(b0), x0)
+    q = 1.0 - b0
+    den = q * (1.0 - x0) + 1.0
+    return q * (2.0 - q * q * (1.0 - x0) * (1.0 - x0)) / (den * den * den)
 
 
-def _k2_constants(d):
-    b0, b1, b2 = d.b
-    return d.mean_time, d.mean_time**2, 1.0 - b0, b2 * (2.0 * b1 + 3.0 * b2)
-
-
-def _k2_closed(big_b, big_b2, q, tail_term, x0):
+def _k2_closed(big_b, b0, b1, b2, x0):
+    q = 1.0 - b0
     one_minus = 1.0 - x0
     num = one_minus * (
-        big_b * q * (1.0 - q * one_minus) * (big_b * one_minus + 2.0) + tail_term
-    ) + big_b * (4.0 - big_b2 * one_minus**2)
-    den = (big_b * one_minus + 1.0) ** 3 * (q * one_minus + 2.0)
-    return num / den
+        big_b * q * (1.0 - q * one_minus) * (big_b * one_minus + 2.0)
+        + b2 * (2.0 * b1 + 3.0 * b2)
+    ) + big_b * (4.0 - big_b * big_b * one_minus * one_minus)
+    den = big_b * one_minus + 1.0
+    return num / (den * den * den * (q * one_minus + 2.0))
 
 
 def drift_k2_closed(d, x0):
     """Closed-form drift second derivative for dormancy depth two."""
     if d.k != 2:
         raise UnsupportedK("this closed form requires K = 2")
-    return _k2_closed(*_k2_constants(d), x0)
+    return _k2_closed(d.mean_time, *d.b, x0)
 
 
-def _closed_form(d):
-    if d.k == 1:
-        return (_k1_closed, *_k1_constants(d.b[0]))
-    return (_k2_closed, *_k2_constants(d))
+def drift_factor_fn(d):
+    """Second derivative of the projection map as a callable of x0, scalar or
+    array: the phi'' of every diffusion limit.
 
+    The closed forms at K <= 2 (which equal the engine output); for deeper
+    seed banks ``batched_drift_fn``: exact, with one Schur factorisation per
+    distribution and one K x K solve per point, all points of a call
+    batched, each checked against the full Lyapunov equation.
+    ``drift_second_derivative`` keeps the direct per-point solve as the
+    oracle.  Build the callable once per distribution and call it on arrays.
 
-def closed_drift_fn(d):
-    """The closed-form phi'' of a distribution with K <= 2 as a callable of
-    x0; of a sequence of M that all share K = 1 or K = 2, one evaluation on
-    (M, 1) columns of the per-bank constants, each made on Python floats as
-    the single call makes it (an array's ``**`` need not round as a float's)."""
+    For a sequence of M distributions the callable maps an (n,) array x0 to
+    (M, n) rows, each bit for bit the distribution's own: one closed-form
+    evaluation on (M, 1) columns of [B, b0, ..., bK] when all share K = 1 or
+    all K = 2, else one call per distribution.  The closed forms are sums,
+    products and quotients, with no powers, so a scalar, an array and a
+    column round alike.
+    """
     if isinstance(d, GerminationDistribution):
-        return functools.partial(*_closed_form(d))
-    form, *constants = zip(*map(_closed_form, d))
-    return functools.partial(form[0], *(np.array(c)[:, None] for c in constants))
+        if d.k == 1:
+            return functools.partial(drift_k1_closed, d.b[0])
+        return functools.partial(drift_k2_closed, d) if d.k == 2 else batched_drift_fn(d)
+    ds = list(d)
+    if not ds:
+        raise ValidationError("a batch needs at least one distribution")
+    depths = {di.k for di in ds}
+    if depths in ({1}, {2}):
+        big_b, *b = np.array([[di.mean_time, *di.b] for di in ds]).T[:, :, None]
+        if depths == {1}:
+            return functools.partial(drift_k1_closed, b[0])
+        return functools.partial(_k2_closed, big_b, *b)
+    rows = [drift_factor_fn(di) for di in ds]
+    return lambda x0: np.array([fn(x0) for fn in rows])
 
 
 def fast_second_derivatives_k1(b0, x0):
@@ -469,16 +477,17 @@ def fast_second_derivatives_k1(b0, x0):
     """
     q = 1.0 - b0
     x = x0
-    den = (q * (1.0 - x) + 2.0) * (q * (1.0 - x) + 1.0) ** 3
+    den1 = q * (1.0 - x) + 1.0
+    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
     p3 = (
-        q**3 * x**4
-        - 3.0 * q**3 * x**3
-        + 3.0 * q**3 * x**2
-        - q**3 * x
-        - 2.0 * q**2 * x**3
-        + 3.0 * q**2 * x**2
-        - q**2
-        - q * x**2
+        q * q * q * (x * x * x * x)
+        - 3.0 * (q * q * q) * (x * x * x)
+        + 3.0 * (q * q * q) * (x * x)
+        - q * q * q * x
+        - 2.0 * (q * q) * (x * x * x)
+        + 3.0 * (q * q) * (x * x)
+        - q * q
+        - q * (x * x)
         + 3.0 * q * x
         - 2.0 * q
         + 3.0 * x
@@ -493,19 +502,20 @@ def _fast_ups_ups_reduced_k1(b0, x0):
     """d2Phi0/dups0^2 divided by its exact factor x0 (1 - x0); boundary-safe."""
     q = 1.0 - b0
     x = x0
-    den = (q * (1.0 - x) + 2.0) * (q * (1.0 - x) + 1.0) ** 3
+    den1 = q * (1.0 - x) + 1.0
+    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
     p4 = (
-        2.0 * q**2 * x**3
-        - 5.0 * q**2 * x**2
-        + 4.0 * q**2 * x
-        - q**2
-        - 6.0 * q * x**2
+        2.0 * (q * q) * (x * x * x)
+        - 5.0 * (q * q) * (x * x)
+        + 4.0 * (q * q) * x
+        - q * q
+        - 6.0 * q * (x * x)
         + 8.0 * q * x
         - 2.0 * q
         + 5.0 * x
         - 1.0
     )
-    return -(q**2) * p4 / den
+    return -(q * q) * p4 / den
 
 
 def theta_fast_closed_k1(b0, x0):
@@ -547,9 +557,8 @@ def h_function(x0, b0):
     mark derivative.
     """
     q = 1.0 - b0
-    q2 = q**2
     d2_x0_ups0, _ = fast_second_derivatives_k1(b0, x0)
-    term1 = q2 * x0 * (1.0 - x0) * _k1_closed(q, q2, x0)
+    term1 = q * q * x0 * (1.0 - x0) * drift_k1_closed(b0, x0)
     term2 = _fast_ups_ups_reduced_k1(b0, x0)
     term3 = -2.0 * q * d2_x0_ups0
     term4 = 2.0 * q * ((1.0 - x0) + b0 * x0) / (q * (1.0 - x0) + 1.0)

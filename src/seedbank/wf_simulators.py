@@ -224,7 +224,8 @@ class FixationEstimate:
     master_seed: int
 
     def to_dict(self):
-        return asdict(self)
+        """The fields; a NaN p_hat or std_err (all censored) is None, JSON's null."""
+        return {key: None if v != v else v for key, v in asdict(self).items()}
 
 
 def _run_block(regime, d, n_pop, start_count, block_size, master_seed,

@@ -103,18 +103,18 @@ def csv_row(*values):
 
 
 def test_figure_rows_equal_per_row_calls(tmp_path):
-    # each row holds the library's values for that row, repr of a float, in
-    # the order of the loops below
-    rhos = np.linspace(0.0, 1.0, 5)
+    # each row holds the library's values for that row from one scalar call,
+    # repr of a float, in the order of the loops below
+    rhos = np.linspace(0.0, 1.0, 201).tolist()
     want = ["xi,B,rho0,g"]
     for xi in (0.8, 1.2):
-        for big_b in (0.1, 0.5):
+        for big_b in (0.1, 0.5, 1.0):
             d = seedbank.validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0,
                                                 big_b / 3.0])
-            want += [csv_row(xi, big_b, rho, g)
-                     for rho, g in zip(rhos, seedbank.g_function(d, rhos, xi))]
-    assert csv_rows(tmp_path, ["g-plot", "--B", "0.1,0.5", "--xi", "0.8,1.2",
-                               "--steps", "5"]) == want
+            want += [csv_row(xi, big_b, rho, seedbank.g_function(d, rho, xi))
+                     for rho in rhos]
+    assert csv_rows(tmp_path, ["g-plot", "--B", "0.1,0.5,1.0", "--xi", "0.8,1.2",
+                               "--steps", "201"]) == want
 
     ys = np.linspace(0.0, 0.5, 4)
     want = ["B,y,psi"] + [csv_row(big_b, y, seedbank.psi(big_b, float(y)))
@@ -218,6 +218,22 @@ def test_mc_compare(tmp_path):
 
     rc, threaded = run(tmp_path, "mc_threads.json", argv + ["--threads", "2"])
     assert rc == 0 and threaded.read_bytes() == out.read_bytes()
+
+
+def test_mc_compare_fully_censored_is_strict_json(tmp_path):
+    # every replicate censored: p_hat and std_err are undefined and written
+    # as null, since JSON has no NaN; the counts are kept
+    rc, out = run(tmp_path, "mc.json", [
+        "mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "100",
+        "--start", "0.5", "--replicates", "100", "--max-generations", "1", "--seed", "1"])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    est = json.loads(out.read_text(), parse_constant=reject)["estimate"]
+    assert est["p_hat"] is None and est["std_err"] is None
+    assert (est["fixed_count"], est["lost_count"], est["censored_count"]) == (0, 0, 100)
 
 
 def test_mc_compare_refuses_before_simulating(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 from seedbank import (
     FastEnvSpec,
     SlowEnvSpec,
+    drift_bound,
     g_function,
+    h_function,
     kolmogorov_fixation,
     psi,
     psi_cap,
@@ -22,6 +24,7 @@ from seedbank import (
 )
 from seedbank import diffusion_limits
 from seedbank.diffusion_limits import (
+    _bounding_fixation,
     _cheb_integral,
     _pde_operator_rows,
     _settle_steps,
@@ -183,10 +186,10 @@ def test_coefficient_pair_matches_spec(b, env):
             assert spec.diffusion(np.array([x]))[0, 0] == diff_vec(x)
     else:
         drift_vec, diff_vec = fast_coefficients_vec(d, env)
-    # array input: one value per state, each within an ulp of the scalar one
+    # array input: one value per state, each bit for bit the scalar one
     drift_arr, diff_arr = drift_vec(xs), diff_vec(xs)
     assert drift_arr.shape == diff_arr.shape == xs.shape
-    np.testing.assert_allclose(drift_arr, [drift_vec(x) for x in xs], rtol=1e-15, atol=1e-17)
+    np.testing.assert_array_equal(drift_arr, [drift_vec(x) for x in xs])
     np.testing.assert_array_equal(diff_arr, [diff_vec(x) for x in xs])
     assert diff_arr[0] == diff_arr[-1] == 0.0
     # x (1 - x) < 0 just outside [0, 1] is clamped, not a NaN
@@ -199,12 +202,12 @@ def check_slow_pair(d, env):
     rhos, xis = np.meshgrid(np.linspace(0.0, 1.0, 21),
                             np.linspace(env.xi_min, env.xi_max, 7))
     states = list(zip(rhos.ravel(), xis.ravel()))
-    # array input: every entry within an ulp of the scalar one
+    # array input: every entry bit for bit the scalar one
     for vec in (drift_vec, diff_vec):
         scalar = np.array([vec(rho, xi) for rho, xi in states])
         for i, entry in enumerate(vec(rhos, xis)):
             assert entry.shape == rhos.shape
-            np.testing.assert_allclose(entry.ravel(), scalar[:, i], rtol=1e-15, atol=1e-17)
+            np.testing.assert_array_equal(entry.ravel(), scalar[:, i])
     # rho0 just outside [0, 1] is clamped to the edge, not a NaN
     for vec in (drift_vec, diff_vec):
         outside = np.array(vec(np.array([-0.1, 1.1]), np.ones(2)))
@@ -455,7 +458,7 @@ k1_banks = st.builds(k1_bank, b0s)
 nodes = st.lists(fractions, min_size=1, max_size=40).map(np.array)
 # a float pow and an array multiply round (1 - b0)**2 of the first and B**2 of
 # the second (a README heatmap cell) apart, with glibc's pow: about 1 in 1,000
-# squares does, so a batch that squared its columns would rarely be drawn
+# squares does, so a closed form that went back to ** would rarely be drawn
 SQUARES_APART = [k1_bank(0.0523), k2_bank(0.42, 0.7959183673469387)]
 
 
@@ -465,9 +468,11 @@ SQUARES_APART = [k1_bank(0.0523), k2_bank(0.42, 0.7959183673469387)]
 @given(st.one_of(st.lists(k1_banks, min_size=1, max_size=12),
                  st.lists(k2_banks, min_size=1, max_size=12)), nodes)
 def test_closed_drift_batch_rows_are_single_calls(ds, x):
-    # one closed-form evaluation on columns of per-bank constants, each row
-    # bit for bit the bank's own drift factor
-    assert_same_bits(drift_factor_fn(ds)(x), [drift_factor_fn(d)(x) for d in ds])
+    # one closed-form evaluation on columns of [B, b0, ..., bK], each row bit
+    # for bit the bank's own drift factor on the array and on each scalar
+    rows = drift_factor_fn(ds)(x)
+    assert_same_bits(rows, [drift_factor_fn(d)(x) for d in ds])
+    assert_same_bits(rows, [[drift_factor_fn(d)(v) for v in x.tolist()] for d in ds])
 
 
 @settings(max_examples=20, deadline=None)
@@ -477,6 +482,27 @@ def test_mixed_depth_drift_batch_rows_are_single_calls(ks, seed, x):
     rng = np.random.default_rng(seed)
     ds = [random_simplex(rng, k) for k in ks]
     assert_same_bits(drift_factor_fn(ds)(x), [drift_factor_fn(d)(x) for d in ds])
+
+
+def test_closed_forms_round_alike_on_scalars_and_arrays():
+    # sums, products and quotients, no powers: each value of an array call is
+    # bit for bit the scalar call's (a float's ** is a C pow, an array's a
+    # multiply, and once moved 51 of the default g-plot's 1,206 cells)
+    rng = np.random.default_rng(97)
+    big_b = rng.uniform(0.0, 3.0, 2000)
+    x0, y, b0 = rng.uniform(0.0, 1.0, (3, 2000))
+    b0[0] = 1.0
+    for fn, args in ((drift_bound, (big_b, x0)), (psi, (big_b, y)),
+                     (_bounding_fixation, (big_b, y)), (h_function, (x0, b0))):
+        assert_same_bits(fn(*args), [fn(*v) for v in zip(*(a.tolist() for a in args))])
+    # the g-plot's default banks (1 - 2B/3, B/3, B/3), and random K = 1, 2
+    rhos = np.linspace(0.0, 1.0, 201)
+    banks = [validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0])
+             for big_b in (0.1, 0.5, 1.0)]
+    for d in banks + [random_simplex(rng, k) for k in (1, 1, 2, 2)]:
+        for xi in (0.8, 1.2):
+            assert_same_bits(g_function(d, rhos, xi),
+                             [g_function(d, rho, xi) for rho in rhos.tolist()])
 
 
 def test_cheb_integral_matches_numpy_chebint():
@@ -784,9 +810,9 @@ def test_kolmogorov_batch_matches_scalar_calls():
 
 
 @pytest.mark.parametrize("b0, xi_inf, want", [
-    (0.1, 0.8, 0.0024346504283867367),
-    (0.5, 1.2, 0.003868194782364811),
-    (0.7, 0.8, 0.006023679489550172),
+    (0.1, 0.8, 0.0024346504283867393),
+    (0.5, 1.2, 0.0038681947823648094),
+    (0.7, 0.8, 0.006023679489550163),
 ])
 def test_kolmogorov_pinned_values(b0, xi_inf, want):
     # fixation-vs-b0 rows at --r 20 --y 0.01, exact: the CSV bytes depend on
