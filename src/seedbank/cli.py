@@ -5,14 +5,15 @@ Subcommands either reproduce the data behind the package's figures as CSV
 h-contour) or emit single JSON results (mc-compare, reduce).  Every CSV starts
 with a comment header recording the tool version, the fully resolved
 parameters, and the seed, so re-running the header's parameters reproduces the
-file byte-for-byte.  Every CSV value is ``repr`` of a float, written by one
-function, ``_write_csv``.
+file byte-for-byte.  One function, ``_write_csv``, writes every figure: one row
+per point of its grid axes, first axis outermost, each value ``repr`` of a float.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the package error raised
 (2 validation error, 3 numerical failure, 1 any other package error).
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from .manifold_reduction import reduce_point
 from .seedbank_flows import (
     FlowKind,
     build_flow,
-    drift_second_derivative,
+    drift_factor_fn,
     h_function,
     hessians_on_gamma,
     jacobian_on_gamma,
@@ -67,15 +68,15 @@ def _csv_header(subcommand, params, seed):
     return lines
 
 
-def _write_csv(args, subcommand, params, names, *columns):
-    """Write a figure's CSV: the header, the column ``names`` and one row per
-    entry of the columns, each value ``repr`` of a float.  A column may be a
-    table; it is read in row-major order."""
-    lines = _csv_header(subcommand, params, args.seed)
-    lines.append(names)
-    columns = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
-    lines.extend(",".join(map(repr, row)) for row in zip(*columns, strict=True))
-    _emit(args.out, lines)
+def _write_csv(args, subcommand, params, names, axes, *columns):
+    """Write a figure's CSV: the header, the column ``names``, and one row per
+    point of the grid of ``axes`` (first axis outermost): its axis values, each
+    formatted once, then its entry of each column (tables read row-major)."""
+    labels = [map(repr, np.asarray(a, dtype=float).tolist()) for a in axes]
+    cells = [map(repr, np.asarray(c, dtype=float).ravel().tolist()) for c in columns]
+    rows = zip(map(",".join, itertools.product(*labels)), *cells, strict=True)
+    _emit(args.out, [*_csv_header(subcommand, params, args.seed), names,
+                     *map(",".join, rows)])
 
 
 def _parse_floats(text, flag):
@@ -94,18 +95,16 @@ def cmd_psi_curve(args):
         raise ValidationError(f"--ymax must be positive and finite, got {args.ymax}")
     ys = np.linspace(0.0, args.ymax, args.steps + 1)
     _write_csv(args, "psi-curve", {"B": args.B, "ymax": args.ymax, "steps": args.steps},
-               "B,y,psi", np.repeat(b_values, ys.size), np.tile(ys, len(b_values)),
-               psi(np.array(b_values)[:, None], ys))
+               "B,y,psi", (b_values, ys), psi(np.array(b_values)[:, None], ys))
 
 
 def cmd_drift_surface(args):
     check_positive_int("--grid", args.grid)
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # b0 > 0 strictly
     x0s = np.linspace(0.0, 1.0, args.grid)
-    rows = [drift_second_derivative(validate_distribution([b0, 1.0 - b0]), x0s)
-            for b0 in b0s]
+    ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
     _write_csv(args, "drift-surface", {"grid": args.grid}, "b0,x0,d2phi0_dx02",
-               np.repeat(b0s, args.grid), np.tile(x0s, args.grid), rows)
+               (b0s, x0s), drift_factor_fn(ds)(x0s))
 
 
 def cmd_fixation_heatmap(args):
@@ -120,8 +119,8 @@ def cmd_fixation_heatmap(args):
     fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
     bounds = _bounding_fixation(big_bs, starts)
     _write_csv(args, "fixation-heatmap", {"grid": args.grid, "y": y},
-               "b0,q,fixation,psi_bound,difference", np.repeat(b0s, args.grid),
-               np.tile(qs, args.grid), fixes, bounds, np.subtract(bounds, fixes))
+               "b0,q,fixation,psi_bound,difference", (b0s, qs), fixes, bounds,
+               np.subtract(bounds, fixes))
 
 
 def cmd_fixation_vs_b0(args):
@@ -133,8 +132,8 @@ def cmd_fixation_vs_b0(args):
     fixes = [kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
              for xi_inf in xi_infs]
     params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
-    _write_csv(args, "fixation-vs-b0", params, "xi_inf,b0,fixation",
-               np.repeat(xi_infs, args.steps), np.tile(b0s, len(xi_infs)), fixes)
+    _write_csv(args, "fixation-vs-b0", params, "xi_inf,b0,fixation", (xi_infs, b0s),
+               fixes)
 
 
 def cmd_g_plot(args):
@@ -156,22 +155,17 @@ def cmd_g_plot(args):
         ds = [validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0])
               for big_b in big_bs]
     rhos = np.linspace(0.0, 1.0, args.steps)
-    # one (xi, rho0) table per bank, for one evaluation of phi''; rows run
-    # over xi, then bank, then rho0
+    # one (xi, rho0) table per bank, for one evaluation of phi''; stacked (xi, bank, rho0)
     tables = np.stack([g_function(d, rhos, xis[:, None]) for d in ds], axis=1)
     params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
-    _write_csv(args, "g-plot", params, "xi,B,rho0,g",
-               np.repeat(xis, len(ds) * args.steps),
-               np.tile(np.repeat(big_bs, args.steps), len(xis)),
-               np.tile(rhos, len(xis) * len(ds)), tables)
+    _write_csv(args, "g-plot", params, "xi,B,rho0,g", (xis, big_bs, rhos), tables)
 
 
 def cmd_h_contour(args):
     check_positive_int("--grid", args.grid)
     xs = np.linspace(0.0, 1.0, args.grid)
-    x0s, b0s = np.repeat(xs, args.grid), np.tile(xs, args.grid)
-    _write_csv(args, "h-contour", {"grid": args.grid}, "x0,b0,h", x0s, b0s,
-               h_function(x0s, b0s))
+    _write_csv(args, "h-contour", {"grid": args.grid}, "x0,b0,h", (xs, xs),
+               h_function(xs[:, None], xs))
 
 
 def cmd_mc_compare(args):

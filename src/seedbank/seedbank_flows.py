@@ -475,6 +475,12 @@ def fast_second_derivatives_k1(b0, x0):
     Returns (d2Phi0/dx0 dups0, d2Phi0/dups0^2) evaluated on the manifold.
     Exact rational functions of q = 1 - b0 and x0.
     """
+    return (_fast_x_ups_k1(b0, x0),
+            x0 * (1.0 - x0) * _fast_ups_ups_reduced_k1(b0, x0))
+
+
+def _fast_x_ups_k1(b0, x0):
+    """d2Phi0/dx0 dups0 on the manifold at K = 1."""
     q = 1.0 - b0
     x = x0
     den1 = q * (1.0 - x) + 1.0
@@ -493,9 +499,7 @@ def fast_second_derivatives_k1(b0, x0):
         + 3.0 * x
         - 1.0
     )
-    d2_x0_ups0 = -q * p3 / den
-    d2_ups0_ups0 = x * (1.0 - x) * _fast_ups_ups_reduced_k1(b0, x0)
-    return d2_x0_ups0, d2_ups0_ups0
+    return -q * p3 / den
 
 
 def _fast_ups_ups_reduced_k1(b0, x0):
@@ -557,9 +561,8 @@ def h_function(x0, b0):
     mark derivative.
     """
     q = 1.0 - b0
-    d2_x0_ups0, _ = fast_second_derivatives_k1(b0, x0)
     term1 = q * q * x0 * (1.0 - x0) * drift_k1_closed(b0, x0)
     term2 = _fast_ups_ups_reduced_k1(b0, x0)
-    term3 = -2.0 * q * d2_x0_ups0
+    term3 = -2.0 * q * _fast_x_ups_k1(b0, x0)
     term4 = 2.0 * q * ((1.0 - x0) + b0 * x0) / (q * (1.0 - x0) + 1.0)
     return term1 + term2 + term3 + term4

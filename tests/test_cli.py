@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import seedbank
 from seedbank import cli
 from seedbank.cli import _fmt, main
 from seedbank.diffusion_limits import constant_coefficients_vec, psi_cap, scale_fixation
+from seedbank.seedbank_flows import drift_factor_fn
 
 
 def run(tmp_path, name, argv):
@@ -135,14 +137,43 @@ def test_figure_rows_equal_per_row_calls(tmp_path):
     want = ["b0,x0,d2phi0_dx02"]
     for b0 in np.linspace(0.0, 1.0, 5)[1:]:
         d = seedbank.validate_distribution([b0, 1.0 - b0])
-        want += [csv_row(b0, x0, seedbank.drift_second_derivative(d, x0))
-                 for x0 in np.linspace(0.0, 1.0, 4)]
+        want += [csv_row(b0, x0, drift_factor_fn(d)(x0)) for x0 in np.linspace(0.0, 1.0, 4)]
     assert csv_rows(tmp_path, ["drift-surface", "--grid", "4"]) == want
 
     xs = np.linspace(0.0, 1.0, 5).tolist()
     want = ["x0,b0,h"] + [csv_row(x0, b0, seedbank.h_function(x0, b0))
                           for x0 in xs for b0 in xs]
     assert csv_rows(tmp_path, ["h-contour", "--grid", "5"]) == want
+
+
+def test_drift_surface_matches_lyapunov_oracle(tmp_path):
+    # the figure prints the closed form; the direct Lyapunov solve per point
+    # stays its oracle
+    rows = csv_rows(tmp_path, ["drift-surface", "--grid", "21"])[1:]
+    assert len(rows) == 21 * 21
+    for line in rows:
+        b0, x0, value = map(float, line.split(","))
+        d = seedbank.validate_distribution([b0, 1.0 - b0])
+        assert abs(value - seedbank.drift_second_derivative(d, x0)) <= 1e-14, line
+
+
+def test_write_csv_rows_run_over_the_grid(tmp_path):
+    # one row per point of the axes' grid, first axis outermost: the rows a
+    # repeat/tile expansion of the axes gives
+    axes = ([0.5, 1.0], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0, 4.0])
+    table = np.arange(24.0).reshape(2, 3, 4) / 7.0
+    args = argparse.Namespace(out=str(tmp_path / "t.csv"), seed=0)
+    cli._write_csv(args, "test", {}, "a,b,c,v", axes, table)
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    columns = (np.repeat(axes[0], 12), np.tile(np.repeat(axes[1], 4), 2),
+               np.tile(axes[2], 6), table.ravel())
+    assert lines[lines.index("a,b,c,v") + 1:] == [csv_row(*row) for row in zip(*columns)]
+    out = tmp_path / "bad.csv"
+    args.out = str(out)
+    for bad in (table.ravel()[:-1], np.append(table, 0.0)):
+        with pytest.raises(ValueError):
+            cli._write_csv(args, "test", {}, "a,b,c,v", axes, bad)
+        assert not out.exists()
 
 
 def test_fixation_vs_b0(tmp_path):
@@ -382,6 +413,7 @@ import json, sys
 from seedbank.cli import main
 runs = [
     ["psi-curve", "--B", "0,1", "--steps", "10"],
+    ["drift-surface", "--grid", "5"],
     ["h-contour", "--grid", "5"],
     ["g-plot", "--B", "0.5", "--steps", "11"],
     ["fixation-heatmap", "--grid", "3"],
@@ -393,7 +425,7 @@ runs = [
 codes = [main(argv + ["--out", {out!r}]) for argv in runs]
 print(json.dumps([codes, "scipy" in sys.modules]))
 """
-    assert run_fresh(code) == [[0] * 6, False]
+    assert run_fresh(code) == [[0] * 7, False]
 
 
 def test_cold_start_loads_scipy_on_demand(tmp_path):
