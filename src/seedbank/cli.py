@@ -13,6 +13,7 @@ Exit codes: 0 success, otherwise the ``exit_code`` of the package error raised
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -214,7 +215,10 @@ def cmd_reduce(args):
     _emit(args.out, [json.dumps(result, indent=2, sort_keys=True, allow_nan=False)])
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The ``seedbank`` argument parser, built once per process: every call
+    returns the same parser, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="seedbank",
         description="Seed-bank population models: figure data, reduction "
@@ -297,8 +301,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except SeedbankError as exc:

@@ -412,8 +412,9 @@ def batched_drift_fn(d):
 def drift_k1_closed(b0, x0):
     """Closed-form drift second derivative for dormancy depth one."""
     q = 1.0 - b0
-    den = q * (1.0 - x0) + 1.0
-    return q * (2.0 - q * q * (1.0 - x0) * (1.0 - x0)) / (den * den * den)
+    one_minus = 1.0 - x0
+    den = q * one_minus + 1.0
+    return q * (2.0 - q * q * one_minus * one_minus) / (den * den * den)
 
 
 def _k2_closed(big_b, b0, b1, b2, x0):

@@ -394,6 +394,27 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the parser is built once per process; no run leaves anything in it that
+    # changes a later run's bytes, its defaults or its handling of bad input
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["psi-curve", "--B", "0,1", "--steps", "4"]
+    rc, first = run(tmp_path, "first.csv", argv)
+    assert rc == 0
+    assert main(["psi-curve", "--B", "2", "--steps", "3", "--seed", "7",
+                 "--out", str(tmp_path / "other.csv")]) == 0
+    assert main(["h-contour", "--grid", "3", "--out", str(tmp_path / "h.csv")]) == 0
+    rc, again = run(tmp_path, "again.csv", argv)
+    assert rc == 0 and again.read_bytes() == first.read_bytes()
+    for bad in (["psi-curve", "--steps", "x"], ["no-such-figure"], ["psi-curve", "--grid", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2, bad
+        capsys.readouterr()
+    rc, after_bad = run(tmp_path, "after_bad.csv", argv)
+    assert rc == 0 and after_bad.read_bytes() == first.read_bytes()
+
+
 def run_fresh(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's
     seedbank; returns the JSON value its last stdout line prints."""

@@ -24,10 +24,13 @@ from seedbank import (
 )
 from seedbank import diffusion_limits
 from seedbank.diffusion_limits import (
+    PDE_DT,
+    PDE_NODES,
     _bounding_fixation,
     _cheb_integral,
     _pde_operator_rows,
     _settle_steps,
+    _slow_factors,
     constant_coefficients_vec,
     drift_factor_fn,
     fast_coefficients_vec,
@@ -819,6 +822,113 @@ def test_kolmogorov_pinned_values(b0, xi_inf, want):
     # every rounding of the march, including that of its start time
     d = validate_distribution([b0, 1.0 - b0])
     assert kolmogorov_fixation(d, {"r": 20.0, "xi_inf": xi_inf}, psi(d.mean_time, 0.01)) == want
+
+
+def loop_kolmogorov(ds, logistic, starts):
+    """The Crank-Nicolson march of a batch with the operator built and solved
+    step by step (the reference for the chunked march)."""
+    from scipy.linalg.lapack import dgtsv
+
+    def solve_tridiag_blocks(sub, diag, sup, rhs):
+        size = diag.shape[1]
+        dl = sub.ravel()[1:].copy()
+        du = sup.ravel()[:-1].copy()
+        dl[size - 1::size] = 0.0
+        du[size - 1::size] = 0.0
+        _, _, _, x, info = dgtsv(dl, diag.ravel(), du, rhs.ravel(),
+                                 overwrite_dl=1, overwrite_du=1)
+        assert info == 0 and np.all(np.isfinite(x))
+        return x.reshape(diag.shape)
+
+    r, xi_inf = float(logistic["r"]), float(logistic["xi_inf"])
+    n_steps = _settle_steps(r, xi_inf, PDE_DT)
+    big_b = np.array([[di.mean_time] for di in ds])
+    h = 1.0 / (PDE_NODES - 1)
+    rho = np.linspace(0.0, 1.0, PDE_NODES)
+    interior = rho[1:-1]
+    phi2_grid = drift_factor_fn(ds)(interior)
+    _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
+    half_var = 0.5 * variance
+
+    def coefficients(xi):
+        return (selection - pull * (r * xi * (xi_inf - xi))) / xi, half_var / xi
+
+    sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
+    u = np.zeros((len(ds), PDE_NODES))
+    u[:, -1] = 1.0
+    rhs = np.zeros_like(diag)
+    rhs[:, -1] = -sup[:, -1]
+    u[:, 1:-1] = solve_tridiag_blocks(sub, diag, sup, rhs)
+
+    t_switch = 0.0
+    for _ in range(n_steps):
+        t_switch += PDE_DT
+    lam = 0.5 * PDE_DT
+    t_new = t_switch - np.arange(1, n_steps + 1) * PDE_DT
+    for xi in logistic_xi(r, xi_inf, t_new + 0.5 * PDE_DT):
+        sub, diag, sup = _pde_operator_rows(*coefficients(xi), h)
+        v = u[:, 1:-1]
+        rhs = v + lam * (sub * u[:, :-2] + diag * v + sup * u[:, 2:])
+        rhs[:, -1] += lam * sup[:, -1]
+        u[:, 1:-1] = solve_tridiag_blocks(-lam * sub, 1.0 - lam * diag, -lam * sup, rhs)
+    return np.array([np.interp(s, rho, row) for s, row in zip(starts, u)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kolmogorov_matches_per_step_loop(k):
+    # the chunked march equals the per-step one bit for bit, for single banks
+    # and batches, in declining, constant and growing environments
+    rng = np.random.default_rng(61 + k)
+    for batch in (1, 3, 20):
+        ds = [random_simplex(rng, k) for _ in range(batch)]
+        starts = rng.uniform(0.01, 0.6, batch)
+        for xi_inf in (0.5, 0.8, 1.0, 1.2):
+            logistic = {"r": 20.0, "xi_inf": xi_inf}
+            want = loop_kolmogorov(ds, logistic, starts)
+            got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
+                   else kolmogorov_fixation(ds, logistic, starts))
+            assert_same_bits(got, want)
+
+
+def test_kolmogorov_many_chunks_match_per_step_loop():
+    # a long march: many chunks, the last one short
+    rng = np.random.default_rng(67)
+    logistic = {"r": 2.0, "xi_inf": 0.5}
+    n_steps = _settle_steps(2.0, 0.5, PDE_DT)
+    assert n_steps == 3407
+    for batch in (1, 3):
+        chunk = max(1, diffusion_limits._CHUNK_ELEMENTS // (batch * (PDE_NODES - 2)))
+        assert n_steps >= 3 * chunk and n_steps % chunk
+        ds = [random_simplex(rng, 2) for _ in range(batch)]
+        starts = rng.uniform(0.01, 0.6, batch)
+        got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
+               else kolmogorov_fixation(ds, logistic, starts))
+        assert_same_bits(got, loop_kolmogorov(ds, logistic, starts))
+
+
+@pytest.mark.parametrize("where", ["terminal", "first", "middle", "last"])
+def test_kolmogorov_non_finite_mid_march_raises(monkeypatch, where):
+    # a value that goes non-finite in any step, the last of a short final
+    # chunk included, raises NoConvergence instead of reaching the result
+    import scipy.linalg.lapack
+
+    real = scipy.linalg.lapack.dgtsv
+    n_steps = _settle_steps(20.0, 0.8, PDE_DT)
+    bad_call = {"terminal": 0, "first": 1, "middle": n_steps // 2, "last": n_steps}[where]
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if len(calls) == bad_call:
+            out[3][len(out[3]) // 2] = math.nan
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
+    d = validate_distribution([0.5, 0.5])
+    with pytest.raises(NoConvergence):
+        kolmogorov_fixation(d, {"r": 20.0, "xi_inf": 0.8}, 0.1)
+    assert len(calls) > bad_call
 
 
 def test_kolmogorov_singular_system_is_typed(monkeypatch):
