@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .core_model import (
+    Banks,
     FastEnvSpec,
     GerminationDistribution,
     SlowEnvSpec,

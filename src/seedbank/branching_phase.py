@@ -57,7 +57,7 @@ def frobenius_eigenvectors(spec):
     d = spec.d
     k = d.k
     m_scale = spec.poisson_scale
-    tails = tail_sums(d).tail
+    tails = tail_sums(d)
     u = np.concatenate([[m_scale], np.ones(k)]) / (m_scale + k)
     v = np.concatenate([[1.0], m_scale * tails]) * (
         (m_scale + k) / (m_scale * (d.mean_time + 1.0))

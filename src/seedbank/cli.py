@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .branching_phase import psi
-from .core_model import FastEnvSpec, check_positive_int, validate_distribution
+from .core_model import Banks, FastEnvSpec, check_positive_int, validate_distribution
 from .diffusion_limits import (
     _bounding_fixation,
     constant_coefficients_vec,
@@ -103,9 +103,9 @@ def cmd_drift_surface(args):
     check_positive_int("--grid", args.grid)
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # b0 > 0 strictly
     x0s = np.linspace(0.0, 1.0, args.grid)
-    ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
+    banks = Banks(np.stack([b0s, 1.0 - b0s], axis=1))
     _write_csv(args, "drift-surface", {"grid": args.grid}, "b0,x0,d2phi0_dx02",
-               (b0s, x0s), drift_factor_fn(ds)(x0s))
+               (b0s, x0s), drift_factor_fn(banks)(x0s))
 
 
 def cmd_fixation_heatmap(args):
@@ -113,12 +113,12 @@ def cmd_fixation_heatmap(args):
     y = args.y
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # include the b0 = 1 edge
     qs = np.linspace(0.0, 1.0, args.grid)
-    ds = [validate_distribution([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)])
-          for b0 in b0s for q in qs]
-    big_bs = np.array([d.mean_time for d in ds])
-    starts = psi(big_bs, y)
-    fixes = scale_fixation(*constant_coefficients_vec(ds), starts)
-    bounds = _bounding_fixation(big_bs, starts)
+    # one bank per (b0, q), b0 outermost
+    b0, q = np.repeat(b0s, len(qs)), np.tile(qs, len(b0s))
+    banks = Banks(np.stack([b0, q * (1.0 - b0), (1.0 - q) * (1.0 - b0)], axis=1))
+    starts = psi(banks.mean_time, y)
+    fixes = scale_fixation(*constant_coefficients_vec(banks), starts)
+    bounds = _bounding_fixation(banks.mean_time, starts)
     _write_csv(args, "fixation-heatmap", {"grid": args.grid, "y": y},
                "b0,q,fixation,psi_bound,difference", (b0s, qs), fixes, bounds,
                np.subtract(bounds, fixes))
@@ -128,9 +128,9 @@ def cmd_fixation_vs_b0(args):
     check_positive_int("--steps", args.steps)
     xi_infs = _parse_floats(args.xi_inf, "--xi-inf")
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
-    ds = [validate_distribution([b0, 1.0 - b0]) for b0 in b0s]
-    starts = psi([d.mean_time for d in ds], args.y)
-    fixes = [kolmogorov_fixation(ds, {"r": args.r, "xi_inf": xi_inf}, starts)
+    banks = Banks(np.stack([b0s, 1.0 - b0s], axis=1))
+    starts = psi(banks.mean_time, args.y)
+    fixes = [kolmogorov_fixation(banks, {"r": args.r, "xi_inf": xi_inf}, starts)
              for xi_inf in xi_infs]
     params = {"xi_inf": args.xi_inf, "r": args.r, "steps": args.steps, "y": args.y}
     _write_csv(args, "fixation-vs-b0", params, "xi_inf,b0,fixation", (xi_infs, b0s),
@@ -144,8 +144,8 @@ def cmd_g_plot(args):
         raise ValidationError("xi values must be positive and finite")
     if args.b:
         # an explicit bank overrides --B; its own mean time labels the rows
-        ds = [validate_distribution(_parse_floats(args.b, "--b"))]
-        big_bs = [ds[0].mean_time]
+        d = validate_distribution(_parse_floats(args.b, "--b"))
+        big_bs = [d.mean_time]
     else:
         # realize mean time B with a two-generation bank: b1 = b2 = B/3, and
         # b0 = 1 - 2B/3 > 0 needs B < 1.5
@@ -153,11 +153,11 @@ def cmd_g_plot(args):
         if not all(0.0 <= big_b < 1.5 for big_b in big_bs):
             raise ValidationError(f"--B values must lie in [0, 1.5), the mean times of "
                                   f"the banks (1 - 2B/3, B/3, B/3); got {args.B!r}")
-        ds = [validate_distribution([1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0])
-              for big_b in big_bs]
+        d = Banks([[1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0]
+                   for big_b in big_bs])
     rhos = np.linspace(0.0, 1.0, args.steps)
-    # one (xi, rho0) table per bank, for one evaluation of phi''; stacked (xi, bank, rho0)
-    tables = np.stack([g_function(d, rhos, xis[:, None]) for d in ds], axis=1)
+    # one (xi, bank, rho0) table, for one evaluation of phi'' (one bank or a stack)
+    tables = g_function(d, rhos, xis[:, None, None])
     params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
     _write_csv(args, "g-plot", params, "xi,B,rho0,g", (xis, big_bs, rhos), tables)
 

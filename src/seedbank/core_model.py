@@ -4,11 +4,13 @@ Everything downstream is parametrised by a germination distribution
 b = (b0, ..., bK) on the simplex with b0 > 0: b_i is the probability that
 a seed germinates exactly i generations after it was produced.  The mean
 germination time B = sum(i * b_i) is cached because it appears in nearly
-every closed-form expression.
+every closed-form expression.  ``Banks`` stacks M distributions of one K as
+the rows of one array, checked at once; ``GerminationDistribution`` is one
+bank, checked by the same code.  Both carry ``k``, ``mean_time`` and the
+closed forms' (B, b0, ..., bK) ``columns``: floats, or (M, 1) for a stack.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -24,12 +26,11 @@ from .errors import (
 
 SIMPLEX_TOL = 1e-12
 
-TailSums = namedtuple("TailSums", ["tail", "b_j"])
-
 
 @dataclass(frozen=True)
 class GerminationDistribution:
-    """Probabilities b = (b0, ..., bK) of germinating after 0..K generations."""
+    """Probabilities b = (b0, ..., bK) of germinating after 0..K generations:
+    ``b`` a tuple of floats, ``k`` an int and ``mean_time`` a float."""
 
     b: tuple
     k: int = field(init=False)
@@ -42,37 +43,80 @@ class GerminationDistribution:
             b = tuple(map(float, self.b))
         except (TypeError, ValueError):
             raise ValidationError(f"b must be a sequence of numbers, got {self.b!r}") from None
-        if len(b) < 2:
-            raise ValidationError("need at least (b0, b1); use b=(1, 0) for no dormancy")
-        # written so that a NaN fails the checks after the first
-        for x in b:
-            if x < 0.0:
-                raise NegativeEntry(f"negative probability {x!r} in b={b}")
-            if not x <= 1.0:
-                raise NotOnSimplex(f"entry {x!r} is not a probability in b={b}")
-        total = sum(b)
-        if not abs(total - 1.0) <= SIMPLEX_TOL:
-            raise NotOnSimplex(f"sum(b) = {total!r} differs from 1 beyond {SIMPLEX_TOL}")
-        if not b[0] > 0.0:
-            raise ZeroB0("b0 must be strictly positive")
+        object.__setattr__(self, "mean_time", float(Banks([b]).mean_time[0]))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", len(b) - 1)
-        object.__setattr__(self, "mean_time", float(sum(i * x for i, x in enumerate(b))))
 
     @property
     def array(self):
         return np.asarray(self.b)
 
+    @property
+    def columns(self):
+        return (self.mean_time, *self.b)
+
+
+@dataclass(frozen=True, eq=False)
+class Banks:
+    """M germination distributions of one depth K: the rows of ``array``, a
+    read-only (M, K + 1) float array, with their (M,) ``mean_time``.
+    Iterating gives each row as a ``GerminationDistribution``."""
+
+    array: np.ndarray
+    k: int = field(init=False)
+    mean_time: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        try:  # numbers in equal rows: as floats, None would read as NaN
+            a = np.array(self.array)
+            if a.dtype.kind not in "biuf" or a.ndim != 2 or not len(a):
+                raise ValueError
+        except ValueError:
+            raise ValidationError("banks must be a non-empty 2-D array of numbers, one "
+                                  "row per distribution") from None
+        a = a.astype(float, copy=False)  # np.array made a copy
+        if a.shape[1] < 2:
+            raise ValidationError("need at least (b0, b1); use b=(1, 0) for no dormancy")
+        # a NaN fails both entry tests.  The sums skip a row's bad entries (it
+        # fails on them) and add column by column, as Python's sum adds up a
+        # row; it starts from 0, so a total of -0.0 reads 0.0
+        ok_entry = (a >= 0.0) & (a <= 1.0)
+        clean = np.where(ok_entry, a, 0.0)
+        total = 0.0 + np.add.accumulate(clean, axis=1)[:, -1]
+        mean_time = np.add.accumulate(clean * np.arange(a.shape[1]), axis=1)[:, -1]
+        ok_sum = abs(total - 1.0) <= SIMPLEX_TOL
+        ok = ok_entry.all(axis=1) & ok_sum & (a[:, 0] > 0.0)
+        if not ok.all():  # the first failed check of the first bad row
+            row = ok.argmin()
+            b = tuple(a[row].tolist())
+            if not ok_entry[row].all():
+                x = b[ok_entry[row].argmin()]
+                if x < 0.0:
+                    raise NegativeEntry(f"negative probability {x!r} in b={b}")
+                raise NotOnSimplex(f"entry {x!r} is not a probability in b={b}")
+            if not ok_sum[row]:
+                raise NotOnSimplex(f"sum(b) = {float(total[row])!r} differs from 1 beyond "
+                                   f"{SIMPLEX_TOL}")
+            raise ZeroB0("b0 must be strictly positive")
+        a.setflags(write=False)
+        mean_time.setflags(write=False)
+        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "k", a.shape[1] - 1)
+        object.__setattr__(self, "mean_time", mean_time)
+
+    def __iter__(self):
+        return map(GerminationDistribution, self.array.tolist())
+
+    @property
+    def columns(self):
+        return (self.mean_time[:, None], *self.array.T[:, :, None])
+
 
 def tail_sums(d):
-    """Tail sums T_i = sum(b_l for l >= i), i = 1..K, and B_j = B - T_j.
-
-    ``tail`` is monotone non-increasing with tail[0] (i.e. T_1) equal to 1 - b0.
-    """
-    b = d.array
+    """Tail sums T_i = sum(b_l for l >= i), i = 1..K: monotone non-increasing,
+    with T_1 = 1 - b0."""
     # cumulative sum from the right; drop the i=0 entry
-    tail = np.cumsum(b[::-1])[::-1][1:]
-    return TailSums(tail=tail, b_j=d.mean_time - tail)
+    return np.cumsum(d.array[::-1])[::-1][1:]
 
 
 def validate_distribution(raw):

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .branching_phase import psi
-from .core_model import GerminationDistribution, check_positive_int, check_seed
+from .core_model import check_positive_int, check_seed
 from .errors import (
     DegenerateDiffusion,
     NoConvergence,
@@ -46,16 +46,12 @@ def constant_coefficients_vec(d):
 
     Both are built from correctly rounded operations only (no powers), so
     a scalar x gives the value it has inside an array, bit for bit.  ``d`` is
-    one distribution, or a sequence of M distributions: then both callables
-    map an (n,) array x to (M, n) values, one row per distribution (phi''
-    from the batch's ``drift_factor_fn``; B a column), each row bit for bit
-    the single pair's values, as ``scale_fixation`` takes a batch.
+    one distribution, or a ``Banks`` stack of M: then both callables map an
+    (n,) array x to (M, n) values, one row per distribution (phi'' from the
+    stack's ``drift_factor_fn``; B its column), each row bit for bit the
+    single pair's values, as ``scale_fixation`` takes a batch.
     """
-    if isinstance(d, GerminationDistribution):
-        big_b = d.mean_time
-    else:
-        d = list(d)
-        big_b = np.array([[di.mean_time] for di in d])
+    big_b = d.columns[0]
     phi2 = drift_factor_fn(d)
 
     def drift_vec(x):
@@ -304,7 +300,7 @@ def scale_fixation(drift_fn, diff_fn, start):
     a scalar (a float is returned) or an array (an array of its shape is
     returned).  A batch of M diffusions: both map the node array to (M, n)
     values, one row per diffusion (``constant_coefficients_vec`` of a
-    sequence of distributions does), and ``start`` is a scalar or one start
+    ``Banks`` stack does), and ``start`` is a scalar or one start
     per diffusion; an (M,) array is returned.  A batch runs in lock-step:
     each degree makes the cosine transforms of every unresolved row at once,
     each row keeps its own degree, and each result is bit for bit that of a
@@ -401,7 +397,9 @@ def g_function(d, rho0, xi):
     proportion rho0 and population size xi; negative values disfavour it.
     ``rho0`` and ``xi`` may be arrays that broadcast against each other;
     phi'' is evaluated on rho0 alone, so an (m, 1) array of xi against n
-    values of rho0 gives an (m, n) table for one evaluation of phi''.
+    values of rho0 gives an (m, n) table for one evaluation of phi''.  For a
+    ``Banks`` stack of M, an (n,) rho0 and an (m, 1, 1) xi give an (m, M, n)
+    table, each (M, n) slice's rows bit for bit those of each bank alone.
 
     g = pull / xi + rho0^2 (phi'' - 2 B / den) / 2, with pull and den those
     of the slow drift.  It is not the eta^2 coefficient of that drift,
@@ -411,7 +409,7 @@ def g_function(d, rho0, xi):
     they differ at 19 of 49 rho0 in [0.02, 0.98] for B = 0.5 and at 25 for
     B = 2.7; which sign is right is for a Monte Carlo test to decide.
     """
-    big_b = d.mean_time
+    big_b = d.columns[0]
     phi2 = drift_factor_fn(d)(rho0)
     den, _, pull, _, _ = _slow_factors(big_b, rho0, phi2)
     return pull / xi + 0.5 * (rho0 * rho0) * (phi2 - 2.0 * big_b / den)
@@ -523,10 +521,10 @@ def kolmogorov_fixation(d, logistic, start_rho):
     returns u(0, start_rho), on ``PDE_NODES`` nodes with step ``PDE_DT``.
 
     ``d`` is one distribution, with a scalar ``start_rho`` (a float is
-    returned), or a sequence of distributions with an array of one start per
+    returned), or a ``Banks`` stack with an array of one start per
     distribution (an array is returned).  The settle time depends only on
-    the logistic, so a batch marches in lock-step: phi'' on the grid is one
-    call of the batch's ``drift_factor_fn`` (rows that equal each bank's
+    the logistic, so a stack marches in lock-step: phi'' on the grid is one
+    call of the stack's ``drift_factor_fn`` (rows that equal each bank's
     own phi'' bit for bit), each chunk of Crank-Nicolson steps builds the
     operator rows of every step and distribution at once (xi(t) is known in
     closed form before the march), each step solves all its systems in one
@@ -539,10 +537,8 @@ def kolmogorov_fixation(d, logistic, start_rho):
     if not (0.0 < r < math.inf and 0.0 < xi_inf < math.inf):
         raise ValidationError("logistic parameters r and xi_inf must be positive "
                               "and finite")
-    single = isinstance(d, GerminationDistribution)
-    ds = [d] if single else list(d)
     starts = np.asarray(start_rho, dtype=float)
-    if not ds or starts.shape != (() if single else (len(ds),)):
+    if starts.shape != np.shape(d.mean_time):
         raise ValidationError("start_rho needs one start per distribution")
     if not np.all((starts > 0.0) & (starts < 1.0)):
         raise ValidationError("start_rho must lie in (0, 1)")
@@ -551,11 +547,11 @@ def kolmogorov_fixation(d, logistic, start_rho):
     from scipy.linalg.lapack import dgtsv
 
     # (batch, interior node) arrays
-    big_b = np.array([[di.mean_time] for di in ds])
+    big_b = np.reshape(d.mean_time, (-1, 1))
     h = 1.0 / (PDE_NODES - 1)
     rho = np.linspace(0.0, 1.0, PDE_NODES)
     interior = rho[1:-1]
-    phi2_grid = drift_factor_fn(ds)(interior)
+    phi2_grid = drift_factor_fn(d)(interior).reshape(len(big_b), -1)
     _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
     half_var = 0.5 * variance
 
@@ -579,7 +575,7 @@ def kolmogorov_fixation(d, logistic, start_rho):
     # terminal condition: discrete stationary profile of the autonomous
     # operator at xi_inf (exactly stationary under the scheme by construction)
     sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
-    u = np.zeros((len(ds), PDE_NODES))
+    u = np.zeros((len(big_b), PDE_NODES))
     u[:, -1] = 1.0  # Dirichlet u(0) = 0, u(1) = 1
     rhs = np.zeros_like(diag)
     rhs[:, -1] = -sup[:, -1]
@@ -618,4 +614,4 @@ def kolmogorov_fixation(d, logistic, start_rho):
         check_finite(u)
 
     out = np.array([np.interp(s, rho, row) for s, row in zip(starts.reshape(-1), u)])
-    return float(out[0]) if single else out
+    return out if starts.ndim else float(out[0])

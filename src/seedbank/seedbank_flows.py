@@ -182,7 +182,7 @@ def eigvecs_on_gamma(kind, x0):
     d = kind.d
     b = d.array
     k = d.k
-    tails = tail_sums(d).tail
+    tails = tail_sums(d)
     big_b = d.mean_time
     den = big_b * (1.0 - x0) + 1.0
     if kind.tag in ("constant", "linearized"):
@@ -202,7 +202,7 @@ def left_eigvec_prime(kind, x0):
     """Analytic derivative of v along the manifold chart (w.r.t. x0)."""
     d = kind.d
     k = d.k
-    tails = tail_sums(d).tail
+    tails = tail_sums(d)
     big_b = d.mean_time
     den = big_b * (1.0 - x0) + 1.0
     vp_x = np.concatenate([[big_b], -tails]) / den**2
@@ -278,7 +278,7 @@ def manifold_chart(kind):
 
 def theta_g_closed(d, x0):
     """Closed-form curvature matrix of the linearized flow."""
-    tails = tail_sums(d).tail
+    tails = tail_sums(d)
     big_b = d.mean_time
     den = big_b * (1.0 - x0) + 1.0
     w = np.concatenate([[-big_b], tails])
@@ -417,7 +417,12 @@ def drift_k1_closed(b0, x0):
     return q * (2.0 - q * q * one_minus * one_minus) / (den * den * den)
 
 
-def _k2_closed(big_b, b0, b1, b2, x0):
+def drift_k2_closed(d, x0):
+    """Closed-form drift second derivative for dormancy depth two: of one
+    bank, or of a ``Banks`` stack as (M, n) rows on an (n,) array x0."""
+    if d.k != 2:
+        raise UnsupportedK("this closed form requires K = 2")
+    big_b, b0, b1, b2 = d.columns
     q = 1.0 - b0
     one_minus = 1.0 - x0
     num = one_minus * (
@@ -426,13 +431,6 @@ def _k2_closed(big_b, b0, b1, b2, x0):
     ) + big_b * (4.0 - big_b * big_b * one_minus * one_minus)
     den = big_b * one_minus + 1.0
     return num / (den * den * den * (q * one_minus + 2.0))
-
-
-def drift_k2_closed(d, x0):
-    """Closed-form drift second derivative for dormancy depth two."""
-    if d.k != 2:
-        raise UnsupportedK("this closed form requires K = 2")
-    return _k2_closed(d.mean_time, *d.b, x0)
 
 
 def drift_factor_fn(d):
@@ -446,28 +444,20 @@ def drift_factor_fn(d):
     ``drift_second_derivative`` keeps the direct per-point solve as the
     oracle.  Build the callable once per distribution and call it on arrays.
 
-    For a sequence of M distributions the callable maps an (n,) array x0 to
-    (M, n) rows, each bit for bit the distribution's own: one closed-form
-    evaluation on (M, 1) columns of [B, b0, ..., bK] when all share K = 1 or
-    all K = 2, else one call per distribution.  The closed forms are sums,
-    products and quotients, with no powers, so a scalar, an array and a
-    column round alike.
+    For a ``Banks`` stack of M distributions the callable maps an (n,) array
+    x0 to (M, n) rows, each bit for bit the distribution's own: at K <= 2 one
+    closed-form evaluation on the stack's (M, 1) columns, deeper one call per
+    distribution.  The closed forms are sums, products and quotients, with
+    no powers, so a scalar, an array and a column round alike.
     """
-    if isinstance(d, GerminationDistribution):
-        if d.k == 1:
-            return functools.partial(drift_k1_closed, d.b[0])
-        return functools.partial(drift_k2_closed, d) if d.k == 2 else batched_drift_fn(d)
-    ds = list(d)
-    if not ds:
-        raise ValidationError("a batch needs at least one distribution")
-    depths = {di.k for di in ds}
-    if depths in ({1}, {2}):
-        big_b, *b = np.array([[di.mean_time, *di.b] for di in ds]).T[:, :, None]
-        if depths == {1}:
-            return functools.partial(drift_k1_closed, b[0])
-        return functools.partial(_k2_closed, big_b, *b)
-    rows = [drift_factor_fn(di) for di in ds]
-    return lambda x0: np.array([fn(x0) for fn in rows])
+    if d.k == 1:
+        return functools.partial(drift_k1_closed, d.columns[1])
+    if d.k == 2:
+        return functools.partial(drift_k2_closed, d)
+    if np.ndim(d.mean_time):
+        rows = list(map(batched_drift_fn, d))
+        return lambda x0: np.array([fn(x0) for fn in rows])
+    return batched_drift_fn(d)
 
 
 def fast_second_derivatives_k1(b0, x0):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from seedbank import validate_distribution
+from seedbank import Banks, validate_distribution
 from seedbank.wf_simulators import _age, _generation
 
 
@@ -10,6 +10,11 @@ def random_simplex(rng, k):
     raw[0] = max(raw[0], 0.05)
     raw /= raw.sum()
     return validate_distribution(raw)
+
+
+def stack(ds):
+    """The ``Banks`` stack of the one-bank distributions ``ds``, all of one K."""
+    return Banks([d.b for d in ds])
 
 
 def generation(x, d, trials_now, trials_next, rng, weights=None, fresh=None):

@@ -394,6 +394,28 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_B = [
+    ("nan,0.5", "entry nan is not a probability in b=(nan, 0.5)"),
+    ("0.7,0.4", "sum(b) = 1.1 differs from 1 beyond 1e-12"),
+    ("0,1", "b0 must be strictly positive"),
+    ("0.9,-0.2,0.3", "negative probability -0.2 in b=(0.9, -0.2, 0.3)"),
+    ("1", "need at least (b0, b1); use b=(1, 0) for no dormancy"),
+    ("0.5,0.5,nan", "entry nan is not a probability in b=(0.5, 0.5, nan)"),
+    ("0.5,oops", "could not parse --b value '0.5,oops'"),
+]
+
+
+@pytest.mark.parametrize("b, message", BAD_B, ids=[b for b, _ in BAD_B])
+def test_bad_bank_exits_2_with_its_message(tmp_path, capsys, b, message):
+    # mc-compare and g-plot check their one --b bank alike
+    out = tmp_path / "bad.out"
+    for argv in (["mc-compare", "--regime", "constant", "--b", b, "--N", "30",
+                  "--start", "0.2", "--replicates", "100"], ["g-plot", "--b", b]):
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2 and not out.exists(), argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
 def test_main_reuses_one_parser(tmp_path, capsys):
     # the parser is built once per process; no run leaves anything in it that
     # changes a later run's bytes, its defaults or its handling of bad input

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seedbank import (
+    Banks,
     FastEnvSpec,
     SlowEnvSpec,
     tail_sums,
@@ -27,36 +28,98 @@ def test_mean_time_examples():
 
 
 def test_tail_sums_examples():
-    np.testing.assert_allclose(tail_sums(validate_distribution([0.5, 0.5])).tail, [0.5])
+    np.testing.assert_allclose(tail_sums(validate_distribution([0.5, 0.5])), [0.5])
     np.testing.assert_allclose(
-        tail_sums(validate_distribution([0.6, 0.2, 0.2])).tail, [0.4, 0.2]
+        tail_sums(validate_distribution([0.6, 0.2, 0.2])), [0.4, 0.2]
     )
     np.testing.assert_allclose(
-        tail_sums(validate_distribution([0.25, 0.25, 0.25, 0.25])).tail,
+        tail_sums(validate_distribution([0.25, 0.25, 0.25, 0.25])),
         [0.75, 0.5, 0.25],
     )
 
 
+# each bad bank, the error it raises and its exact message; a NaN or infinite
+# entry fails a check rather than passing every one
+BAD_BANKS = [
+    ([0.0, 1.0], ZeroB0, "b0 must be strictly positive"),
+    ([0.7, 0.4], NotOnSimplex, "sum(b) = 1.1 differs from 1 beyond 1e-12"),
+    ([0.9, -0.2, 0.3], NegativeEntry, "negative probability -0.2 in b=(0.9, -0.2, 0.3)"),
+    ([1.0], ValidationError, "need at least (b0, b1); use b=(1, 0) for no dormancy"),
+    ([math.nan, 0.5], NotOnSimplex, "entry nan is not a probability in b=(nan, 0.5)"),
+    ([0.5, math.nan], NotOnSimplex, "entry nan is not a probability in b=(0.5, nan)"),
+    ([math.nan, math.nan], NotOnSimplex, "entry nan is not a probability in b=(nan, nan)"),
+    ([0.5, 0.5, math.nan], NotOnSimplex,
+     "entry nan is not a probability in b=(0.5, 0.5, nan)"),
+    ([math.inf, 0.5], NotOnSimplex, "entry inf is not a probability in b=(inf, 0.5)"),
+    # Python's sum starts at 0, so a sum of -0.0 reads 0.0
+    ([-0.0, -0.0], NotOnSimplex, "sum(b) = 0.0 differs from 1 beyond 1e-12"),
+    # the first bad entry decides, in the order of the row
+    ([0.6, 0.6, -0.2], NegativeEntry, "negative probability -0.2 in b=(0.6, 0.6, -0.2)"),
+    ([-math.inf, math.inf], NegativeEntry, "negative probability -inf in b=(-inf, inf)"),
+]
+
+
 def test_validation_accepts_and_rejects():
     validate_distribution([0.5, 0.5])
-    with pytest.raises(ZeroB0):
-        validate_distribution([0.0, 1.0])
-    with pytest.raises(NotOnSimplex):
-        validate_distribution([0.7, 0.4])
-    with pytest.raises(NegativeEntry):
-        validate_distribution([0.9, -0.2, 0.3])
-    with pytest.raises(ValidationError):
-        validate_distribution([1.0])
-    # a NaN or infinite entry fails a check rather than passing every one
-    for bad in ([math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan],
-                [0.5, 0.5, math.nan], [math.inf, 0.5]):
-        with pytest.raises(NotOnSimplex):
+    for bad, error, message in BAD_BANKS:
+        with pytest.raises(ValidationError) as caught:
             validate_distribution(bad)
+        assert type(caught.value) is error and str(caught.value) == message
     # so does anything that is not a sequence of numbers; "10" would otherwise
     # read as (1, 0)
     for bad in ("10", "0.5", b"10", ["abc", 0.5], [None, 1.0], 0.5, [[0.5], [0.5]]):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="b must be a sequence of numbers"):
             validate_distribution(bad)
+    # a stack raises the error of its first bad row, wherever that row is
+    good = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+    for bad, error, message in BAD_BANKS:
+        if len(bad) != 3:
+            continue
+        for rows in ([bad, *good], [*good, bad], [good[0], bad, good[1], BAD_BANKS[2][0]]):
+            with pytest.raises(ValidationError) as caught:
+                Banks(rows)
+            assert type(caught.value) is error and str(caught.value) == message
+    with pytest.raises(ValidationError) as caught:
+        Banks([[0.5, 0.5], [0.7, 0.4], [0.0, 1.0]])
+    assert str(caught.value) == "sum(b) = 1.1 differs from 1 beyond 1e-12"
+    with pytest.raises(ValidationError) as caught:
+        Banks([[1.0], [1.0]])
+    assert str(caught.value) == "need at least (b0, b1); use b=(1, 0) for no dormancy"
+    # a stack is a non-empty 2-D array of numbers: no None, strings, ragged rows
+    for bad in ([[None, 1.0]], "10", [[0.5, 0.5], [1.0]], [0.5, 0.5], np.empty((0, 2)),
+                [["0.5", "0.5"]], [[0.5, 0.5j]]):
+        with pytest.raises(ValidationError, match="banks must be a non-empty 2-D array"):
+            Banks(bad)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 20])
+def test_stack_rows_are_one_bank_views(k):
+    # each row's mean time is the one-bank one bit for bit, and both are
+    # Python's sum(i * b_i), left to right (b @ arange(K + 1) is not, in the
+    # last bit, on some rows at K = 5, 10 and 20); the row's view is that bank
+    rng = np.random.default_rng(k)
+    rows = rng.dirichlet(np.ones(k + 1), 200)
+    banks = Banks(rows)
+    assert banks.k == k and banks.mean_time.shape == (200,)
+    singles = [validate_distribution(row) for row in rows]
+    by_sum = [float(sum(i * x for i, x in enumerate(row))) for row in rows.tolist()]
+    for want in ([d.mean_time for d in singles], by_sum):
+        assert banks.mean_time.tobytes() == np.array(want).tobytes()
+    assert [d.b for d in banks] == [d.b for d in singles]
+    # the columns the closed forms take
+    big_b, *b = banks.columns
+    assert big_b.shape == (200, 1) and len(b) == k + 1
+    np.testing.assert_array_equal(np.hstack(b), rows)
+    assert not banks.array.flags.writeable and not banks.mean_time.flags.writeable
+
+
+def test_one_bank_fields_are_python_numbers():
+    # b is repr'd back into a --b value: numpy 2 would write np.float64(...)
+    d = validate_distribution(np.array([0.25, 0.25, 0.5]))
+    assert type(d.k) is int and type(d.mean_time) is float
+    assert all(type(x) is float for x in d.b)
+    assert ",".join(map(repr, d.b)) == "0.25,0.25,0.5"
+    assert d.columns == (1.25, 0.25, 0.25, 0.5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,11 +130,10 @@ def test_distribution_invariants(k, seed):
     big_b = d.mean_time
     assert 0.0 <= big_b <= k * (1.0 - d.b[0]) + 1e-12
     assert k * (1.0 - d.b[0]) <= k
-    ts = tail_sums(d)
-    assert abs(ts.tail[0] + d.b[0] - 1.0) <= 1e-12
-    # tails are non-increasing and B_j = B - T_j
-    assert np.all(np.diff(ts.tail) <= 1e-15)
-    np.testing.assert_allclose(ts.b_j, big_b - ts.tail, atol=1e-15)
+    tail = tail_sums(d)
+    assert abs(tail[0] + d.b[0] - 1.0) <= 1e-12
+    # tails are non-increasing
+    assert np.all(np.diff(tail) <= 1e-15)
 
 
 def test_slow_env_spec_boundaries():

@@ -22,7 +22,7 @@ from seedbank import (
     sde_constant,
     validate_distribution,
 )
-from seedbank import diffusion_limits
+from seedbank import Banks, diffusion_limits
 from seedbank.diffusion_limits import (
     PDE_DT,
     PDE_NODES,
@@ -46,7 +46,7 @@ from seedbank.errors import (
     UnsupportedK,
     ValidationError,
 )
-from conftest import random_simplex
+from conftest import random_simplex, stack
 
 
 def bounded_env(xi_min=0.5, xi_max=2.0, eta_amp=0.2):
@@ -343,8 +343,9 @@ def test_scale_fixation_array_start_and_scalar_callables():
 
 
 # K = 1, 2, 5 and 4; the last bank resolves at degree 64, the others at 32
-BATCH_BANKS = [[0.5, 0.5], [0.3, 0.3, 0.4], [0.4, 0.2, 0.15, 0.1, 0.1, 0.05],
-               [0.05, 0.05, 0.05, 0.05, 0.8]]
+# one depth (K = 4), as a stack has; the last needs degree 64, the rest 32
+BATCH_BANKS = [[0.5, 0.2, 0.15, 0.1, 0.05], [0.3, 0.3, 0.2, 0.1, 0.1],
+               [0.4, 0.2, 0.15, 0.15, 0.1], [0.05, 0.05, 0.05, 0.05, 0.8]]
 
 
 def degrees_of(drift_vec, diff_vec, start):
@@ -367,25 +368,26 @@ def test_scale_fixation_batch_matches_single_calls():
         single.append(value)
         assert sizes == ([32, 64] if d is ds[-1] else [32])
         # a batch of one is an array of one
-        batch_of_one = scale_fixation(*constant_coefficients_vec([d]), s)
+        batch_of_one = scale_fixation(*constant_coefficients_vec(stack([d])), s)
         assert batch_of_one.shape == (1,) and batch_of_one[0] == value
     assert single[0] == 0.0 and single[-1] == 1.0
-    batch, sizes = degrees_of(*constant_coefficients_vec(ds), starts)
+    batch, sizes = degrees_of(*constant_coefficients_vec(stack(ds)), starts)
     assert sizes == [32, 64]  # the rows resolved at 32 sit out at 64
     assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
     np.testing.assert_array_equal(batch, single)
     np.testing.assert_array_equal(
-        scale_fixation(*constant_coefficients_vec(ds[::-1]), starts[::-1]), batch[::-1])
+        scale_fixation(*constant_coefficients_vec(stack(ds[::-1])), starts[::-1]),
+        batch[::-1])
     # the rows of the batch pair are the single pairs' values
     x = np.linspace(0.0, 1.0, 9)
-    for fn, rows in zip(constant_coefficients_vec(ds),
+    for fn, rows in zip(constant_coefficients_vec(stack(ds)),
                         zip(*(constant_coefficients_vec(d) for d in ds))):
         np.testing.assert_array_equal(fn(x), [row(x) for row in rows])
 
 
 def test_scale_fixation_batch_scalar_start_broadcasts():
     ds = [validate_distribution(b) for b in BATCH_BANKS]
-    pair = constant_coefficients_vec(ds)
+    pair = constant_coefficients_vec(stack(ds))
     got = scale_fixation(*pair, 0.2)
     np.testing.assert_array_equal(got, scale_fixation(*pair, np.full(len(ds), 0.2)))
     np.testing.assert_array_equal(
@@ -394,19 +396,19 @@ def test_scale_fixation_batch_scalar_start_broadcasts():
 
 def test_scale_fixation_batch_validation():
     ds = [validate_distribution(b) for b in BATCH_BANKS]
-    drift_vec, diff_vec = constant_coefficients_vec(ds)
+    drift_vec, diff_vec = constant_coefficients_vec(stack(ds))
     for start in (np.full(len(ds) + 1, 0.2), np.full((len(ds), 1), 0.2), [0.2, 0.3]):
         with pytest.raises(ValidationError, match="start"):
             scale_fixation(drift_vec, diff_vec, start)
     with pytest.raises(ValidationError):  # one row per diffusion from both
         scale_fixation(drift_vec, constant_coefficients_vec(ds[0])[1], 0.2)
-    with pytest.raises(ValidationError):
-        constant_coefficients_vec([])
+    with pytest.raises(ValidationError):  # a stack has at least one bank
+        Banks(np.empty((0, 2)))
 
 
 def test_scale_fixation_batch_failures_are_typed():
     ds = [validate_distribution(b) for b in BATCH_BANKS[:3]]
-    drift_vec, diff_vec = constant_coefficients_vec(ds)
+    drift_vec, diff_vec = constant_coefficients_vec(stack(ds))
 
     def with_row(row):
         def drift(x):
@@ -425,7 +427,7 @@ def test_scale_fixation_batch_failures_are_typed():
     # a row resolved at degree 32 is not checked again at 64, where another
     # row still runs: its non-finite values there raise nothing
     deep = validate_distribution(BATCH_BANKS[-1])
-    pair = constant_coefficients_vec([ds[0], deep])
+    pair = constant_coefficients_vec(stack([ds[0], deep]))
 
     def drift(x):
         out = pair[0](x)
@@ -473,18 +475,18 @@ SQUARES_APART = [k1_bank(0.0523), k2_bank(0.42, 0.7959183673469387)]
 def test_closed_drift_batch_rows_are_single_calls(ds, x):
     # one closed-form evaluation on columns of [B, b0, ..., bK], each row bit
     # for bit the bank's own drift factor on the array and on each scalar
-    rows = drift_factor_fn(ds)(x)
+    rows = drift_factor_fn(stack(ds))(x)
     assert_same_bits(rows, [drift_factor_fn(d)(x) for d in ds])
     assert_same_bits(rows, [[drift_factor_fn(d)(v) for v in x.tolist()] for d in ds])
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.permutations([1, 2, 5, 1, 2]), st.integers(0, 2**32 - 1), nodes)
-def test_mixed_depth_drift_batch_rows_are_single_calls(ks, seed, x):
-    # depths 1, 2 and 5 in one batch: one call per distribution
+@given(st.sampled_from([3, 5]), st.integers(1, 5), st.integers(0, 2**32 - 1), nodes)
+def test_deep_drift_stack_rows_are_single_calls(k, m, seed, x):
+    # a stack at K >= 3: one call per distribution, each row bit for bit its own
     rng = np.random.default_rng(seed)
-    ds = [random_simplex(rng, k) for k in ks]
-    assert_same_bits(drift_factor_fn(ds)(x), [drift_factor_fn(d)(x) for d in ds])
+    ds = [random_simplex(rng, k) for _ in range(m)]
+    assert_same_bits(drift_factor_fn(stack(ds))(x), [drift_factor_fn(d)(x) for d in ds])
 
 
 def test_closed_forms_round_alike_on_scalars_and_arrays():
@@ -752,13 +754,13 @@ def test_kolmogorov_validation():
             kolmogorov_fixation(d, {"r": bad, "xi_inf": 0.8}, 0.1)
         with pytest.raises(ValidationError):
             kolmogorov_fixation(d, {"r": 20.0, "xi_inf": bad}, 0.1)
-    # every start of a batch is checked, and there is one start per distribution
+    # every start of a stack is checked, and there is one start per distribution
     logistic = {"r": 20.0, "xi_inf": 0.8}
     for starts in ([0.1, 1.0], [0.0, 0.1], [0.1, math.nan]):
         with pytest.raises(ValidationError):
-            kolmogorov_fixation([d, d], logistic, starts)
-    for ds, starts in (([d, d], [0.1]), ([d, d], [0.1, 0.2, 0.3]), ([d], 0.1),
-                       (d, [0.1]), ([], [])):
+            kolmogorov_fixation(stack([d, d]), logistic, starts)
+    for ds, starts in ((stack([d, d]), [0.1]), (stack([d, d]), [0.1, 0.2, 0.3]),
+                       (stack([d]), 0.1), (d, [0.1])):
         with pytest.raises(ValidationError):
             kolmogorov_fixation(ds, logistic, starts)
 
@@ -794,22 +796,25 @@ def test_settle_budget_raises():
 
 def test_kolmogorov_batch_matches_scalar_calls():
     rng = np.random.default_rng(47)
-    mixed = [validate_distribution([0.3, 0.7]), random_simplex(rng, 2), random_simplex(rng, 5),
-             validate_distribution([0.8, 0.2]), validate_distribution([1.0, 0.0])]
+    # one stack per depth: K = 1 with the b0 = 1 edge, K = 2, and K = 5
+    k1 = [validate_distribution(b) for b in ([0.3, 0.7], [0.8, 0.2], [1.0, 0.0])]
+    k2 = [random_simplex(rng, 2) for _ in range(2)]
+    k5 = [random_simplex(rng, 5) for _ in range(2)]
     # the README's fixation-vs-b0 banks and starts: one K = 1 closed-form
     # evaluation on columns gives phi'' for the whole batch
     readme = [validate_distribution([b0, 1.0 - b0]) for b0 in np.linspace(0.0, 1.0, 21)[1:]]
-    for ds, starts in ((mixed, np.array([0.02, 0.3, 0.15, 0.6, 0.01])),
+    for ds, starts in ((k1, np.array([0.02, 0.6, 0.01])), (k2, np.array([0.3, 0.15])),
+                       (k5, np.array([0.15, 0.3])),
                        (readme, np.array([psi(d.mean_time, 0.01) for d in readme]))):
         for xi_inf in (0.8, 1.0, 1.2):
             logistic = {"r": 20.0, "xi_inf": xi_inf}
             single = [kolmogorov_fixation(d, logistic, s) for d, s in zip(ds, starts)]
             assert all(type(v) is float for v in single)
-            batch = kolmogorov_fixation(ds, logistic, starts)
+            batch = kolmogorov_fixation(stack(ds), logistic, starts)
             assert isinstance(batch, np.ndarray) and batch.shape == (len(ds),)
             assert_same_bits(batch, single)
             np.testing.assert_array_equal(
-                kolmogorov_fixation(ds[::-1], logistic, starts[::-1]), batch[::-1])
+                kolmogorov_fixation(stack(ds[::-1]), logistic, starts[::-1]), batch[::-1])
 
 
 @pytest.mark.parametrize("b0, xi_inf, want", [
@@ -824,8 +829,8 @@ def test_kolmogorov_pinned_values(b0, xi_inf, want):
     assert kolmogorov_fixation(d, {"r": 20.0, "xi_inf": xi_inf}, psi(d.mean_time, 0.01)) == want
 
 
-def loop_kolmogorov(ds, logistic, starts):
-    """The Crank-Nicolson march of a batch with the operator built and solved
+def loop_kolmogorov(banks, logistic, starts):
+    """The Crank-Nicolson march of a stack with the operator built and solved
     step by step (the reference for the chunked march)."""
     from scipy.linalg.lapack import dgtsv
 
@@ -842,11 +847,11 @@ def loop_kolmogorov(ds, logistic, starts):
 
     r, xi_inf = float(logistic["r"]), float(logistic["xi_inf"])
     n_steps = _settle_steps(r, xi_inf, PDE_DT)
-    big_b = np.array([[di.mean_time] for di in ds])
+    big_b = banks.mean_time[:, None]
     h = 1.0 / (PDE_NODES - 1)
     rho = np.linspace(0.0, 1.0, PDE_NODES)
     interior = rho[1:-1]
-    phi2_grid = drift_factor_fn(ds)(interior)
+    phi2_grid = drift_factor_fn(banks)(interior)
     _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
     half_var = 0.5 * variance
 
@@ -854,7 +859,7 @@ def loop_kolmogorov(ds, logistic, starts):
         return (selection - pull * (r * xi * (xi_inf - xi))) / xi, half_var / xi
 
     sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
-    u = np.zeros((len(ds), PDE_NODES))
+    u = np.zeros((len(banks.array), PDE_NODES))
     u[:, -1] = 1.0
     rhs = np.zeros_like(diag)
     rhs[:, -1] = -sup[:, -1]
@@ -884,9 +889,9 @@ def test_kolmogorov_matches_per_step_loop(k):
         starts = rng.uniform(0.01, 0.6, batch)
         for xi_inf in (0.5, 0.8, 1.0, 1.2):
             logistic = {"r": 20.0, "xi_inf": xi_inf}
-            want = loop_kolmogorov(ds, logistic, starts)
+            want = loop_kolmogorov(stack(ds), logistic, starts)
             got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
-                   else kolmogorov_fixation(ds, logistic, starts))
+                   else kolmogorov_fixation(stack(ds), logistic, starts))
             assert_same_bits(got, want)
 
 
@@ -902,8 +907,8 @@ def test_kolmogorov_many_chunks_match_per_step_loop():
         ds = [random_simplex(rng, 2) for _ in range(batch)]
         starts = rng.uniform(0.01, 0.6, batch)
         got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
-               else kolmogorov_fixation(ds, logistic, starts))
-        assert_same_bits(got, loop_kolmogorov(ds, logistic, starts))
+               else kolmogorov_fixation(stack(ds), logistic, starts))
+        assert_same_bits(got, loop_kolmogorov(stack(ds), logistic, starts))
 
 
 @pytest.mark.parametrize("where", ["terminal", "first", "middle", "last"])
@@ -938,4 +943,4 @@ def test_kolmogorov_singular_system_is_typed(monkeypatch):
     monkeypatch.setattr(diffusion_limits, "_pde_operator_rows", zero_rows)
     d = validate_distribution([0.5, 0.5])
     with pytest.raises(SingularSystem):
-        kolmogorov_fixation([d, d], {"r": 20.0, "xi_inf": 0.8}, [0.1, 0.2])
+        kolmogorov_fixation(stack([d, d]), {"r": 20.0, "xi_inf": 0.8}, [0.1, 0.2])
