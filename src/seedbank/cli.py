@@ -144,8 +144,8 @@ def cmd_g_plot(args):
         raise ValidationError("xi values must be positive and finite")
     if args.b:
         # an explicit bank overrides --B; its own mean time labels the rows
-        d = validate_distribution(_parse_floats(args.b, "--b"))
-        big_bs = [d.mean_time]
+        d = Banks([_parse_floats(args.b, "--b")])
+        big_bs = d.mean_time
     else:
         # realize mean time B with a two-generation bank: b1 = b2 = B/3, and
         # b0 = 1 - 2B/3 > 0 needs B < 1.5
@@ -156,7 +156,7 @@ def cmd_g_plot(args):
         d = Banks([[1.0 - 2.0 * big_b / 3.0, big_b / 3.0, big_b / 3.0]
                    for big_b in big_bs])
     rhos = np.linspace(0.0, 1.0, args.steps)
-    # one (xi, bank, rho0) table, for one evaluation of phi'' (one bank or a stack)
+    # one (xi, bank, rho0) table, for one evaluation of the stack's phi''
     tables = g_function(d, rhos, xis[:, None, None])
     params = {"xi": args.xi, "B": args.B, "steps": args.steps, "b": args.b or ""}
     _write_csv(args, "g-plot", params, "xi,B,rho0,g", (xis, big_bs, rhos), tables)

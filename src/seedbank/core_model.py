@@ -59,8 +59,7 @@ class GerminationDistribution:
 @dataclass(frozen=True, eq=False)
 class Banks:
     """M germination distributions of one depth K: the rows of ``array``, a
-    read-only (M, K + 1) float array, with their (M,) ``mean_time``.
-    Iterating gives each row as a ``GerminationDistribution``."""
+    read-only (M, K + 1) float array, with their (M,) ``mean_time``."""
 
     array: np.ndarray
     k: int = field(init=False)
@@ -104,9 +103,6 @@ class Banks:
         object.__setattr__(self, "k", a.shape[1] - 1)
         object.__setattr__(self, "mean_time", mean_time)
 
-    def __iter__(self):
-        return map(GerminationDistribution, self.array.tolist())
-
     @property
     def columns(self):
         return (self.mean_time[:, None], *self.array.T[:, :, None])
@@ -114,9 +110,9 @@ class Banks:
 
 def tail_sums(d):
     """Tail sums T_i = sum(b_l for l >= i), i = 1..K: monotone non-increasing,
-    with T_1 = 1 - b0."""
+    with T_1 = 1 - b0; one row per distribution of a ``Banks`` stack."""
     # cumulative sum from the right; drop the i=0 entry
-    return np.cumsum(d.array[::-1])[::-1][1:]
+    return np.cumsum(d.array[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 
 
 def validate_distribution(raw):

@@ -68,7 +68,8 @@ def constant_coefficients_vec(d):
 
 def fast_coefficients_vec(d, fenv):
     """Drift and diffusion of the fast-environment diffusion (dormancy depth
-    one), as callables of x (a scalar or an array).
+    one), as callables of x (a scalar or an array); for a ``Banks`` stack,
+    one row per distribution, as ``constant_coefficients_vec`` gives them.
 
     Drift is the constant-environment drift plus p s^2 x (1 - x) h(x, b0);
     the environmental noise averages out, so the diffusion coefficient is that
@@ -78,7 +79,7 @@ def fast_coefficients_vec(d, fenv):
         raise UnsupportedK("fast-environment SDE requires K = 1 (no closed-form "
                            "mixed derivative is available for deeper seed banks)")
     drift_vec, diff_vec = constant_coefficients_vec(d)
-    b0 = d.b[0]
+    b0 = d.columns[1]
     p, s = fenv.p, fenv.s
 
     def fast_drift_vec(x):

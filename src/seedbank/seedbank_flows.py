@@ -137,21 +137,17 @@ def build_flow(kind):
     if kind.tag in ("constant", "linearized"):
         domain = np.tile([0.0, 1.0], (k + 1, 1))
         func = _constant_field(d) if kind.tag == "constant" else _linearized_field(d)
-        return FlowField(dim=k + 1, domain=domain, func=func)
+        return FlowField(dim=kind.dim, domain=domain, func=func)
     if kind.tag == "slow_env":
         if kind.env is None:
             raise ValidationError("slow_env flow requires a SlowEnvSpec")
         xi_max = kind.env.xi_max
         domain = np.vstack([np.tile([0.0, xi_max], (k + 1, 1)), [[kind.env.xi_min, xi_max]]])
-        return FlowField(
-            dim=k + 2,
-            domain=domain,
-            func=_slow_env_field(d),
-            constraint=lambda s: s[0] <= s[k + 1] + 1e-9,
-        )
+        return FlowField(dim=kind.dim, domain=domain, func=_slow_env_field(d),
+                         constraint=lambda s: s[0] <= s[k + 1] + 1e-9)
     # fast_env
     domain = np.vstack([np.tile([0.0, 1.0], (k + 1, 1)), np.tile([-1.0, 1.0], (k, 1))])
-    return FlowField(dim=2 * k + 1, domain=domain, func=_fast_env_field(d))
+    return FlowField(dim=kind.dim, domain=domain, func=_fast_env_field(d))
 
 
 def jacobian_on_gamma(kind, x0):
@@ -180,7 +176,6 @@ def jacobian_on_gamma(kind, x0):
 def eigvecs_on_gamma(kind, x0):
     """Closed-form null eigenvectors (u, v) on the manifold, with <u, v> = 1."""
     d = kind.d
-    b = d.array
     k = d.k
     tails = tail_sums(d)
     big_b = d.mean_time
@@ -201,7 +196,6 @@ def eigvecs_on_gamma(kind, x0):
 def left_eigvec_prime(kind, x0):
     """Analytic derivative of v along the manifold chart (w.r.t. x0)."""
     d = kind.d
-    k = d.k
     tails = tail_sums(d)
     big_b = d.mean_time
     den = big_b * (1.0 - x0) + 1.0
@@ -300,13 +294,15 @@ def delta_matrix(d):
 
 def drift_bound(big_b, x0):
     """Upper bound B(B(1-x0)+2)/(B(1-x0)+1)^3 for the drift second derivative."""
-    den = big_b * (1.0 - x0) + 1.0
-    return big_b * (big_b * (1.0 - x0) + 2.0) / (den * den * den)
+    b_s = big_b * (1.0 - x0)
+    den = b_s + 1.0
+    return big_b * (b_s + 2.0) / (den * den * den)
 
 
 def _deflated_drift_pieces(d):
     """The x0-free pieces of the deflated defect equation, formed once per
-    distribution: (B, A_1, w_0, row, Delta_W).
+    distribution: (B, A_1, w_0, row, Delta_W); for a ``Banks`` stack, B is
+    its column and row and Delta_W have a leading bank axis.
 
     Along the manifold u = (1, ..., 1) is fixed, the Jacobian is
     J(1) + (1 - x0) e_0 r^T with r the first row of J(0), and the defect
@@ -315,13 +311,16 @@ def _deflated_drift_pieces(d):
     basis of u, the deflated equation at x0 is A(x0)^T S + S A(x0) = c Delta_W
     with A(x0) = A_1 + s w_0 row^T, s = 1 - x0, c = 2 s / (B s + 1),
     A_1 = W^T J(1) W, w_0 = W^T e_0, row = W^T r and Delta_W = W^T Delta W,
-    and phi''(x0) = drift_bound(B, x0) - w_0^T S w_0.
+    and phi''(x0) = drift_bound(B, x0) - w_0^T S w_0.  J(1) is the ageing
+    rows alone, and with v = (1 - b0, -b1, ..., -bK), r = -v and
+    Delta = -v v^T (``delta_matrix``): A_1 and w_0 depend on K alone.
     """
-    kind = FlowKind("constant", d)
-    w = deflation_basis(np.ones(d.k + 1))
-    delta, _ = delta_matrix(d)
-    return (d.mean_time, w.T @ jacobian_on_gamma(kind, 1.0) @ w, w[0],
-            jacobian_on_gamma(kind, 0.0)[0] @ w, w.T @ delta @ w)
+    k = d.k
+    w = deflation_basis(np.ones(k + 1))
+    a_settled = w.T @ np.vstack([np.zeros(k + 1), np.eye(k, k + 1) - np.eye(k, k + 1, 1)]) @ w
+    v = np.concatenate([1.0 - d.array[..., :1], -d.array[..., 1:]], axis=-1)
+    return (d.columns[0], a_settled, w[0], (-v[..., None, :] @ w)[..., 0, :],
+            w.T @ -(v[..., :, None] * v[..., None, :]) @ w)
 
 
 def drift_second_derivative(d, x0):
@@ -348,7 +347,8 @@ def drift_second_derivative(d, x0):
 
 def batched_drift_fn(d):
     """``drift_second_derivative``'s phi''(x0), exact, batched over x0 by a
-    rank-one update of one Lyapunov operator.
+    rank-one update of one Lyapunov operator, for one bank or a ``Banks``
+    stack, in ``drift_factor_fn``'s shapes.
 
     A(x0) = A_1 + s w_0 row^T (``_deflated_drift_pieces``), so with
     L_1(S) = A_1^T S + S A_1 and q = S w_0 the deflated equation reads
@@ -357,9 +357,9 @@ def batched_drift_fn(d):
     M_j = L_1^{-1}(row e_j^T + e_j row^T).  Multiplying by w_0 leaves the
     K x K capacitance system (I + s G) q = c a, a = S_C w_0, G[:, j] = M_j w_0
     (Bartels & Stewart, CACM 15(9), 1972; Hager, SIAM Review 31(2), 1989).
-    One Schur factorisation of A_1 and K + 1 triangular solves are made once
-    per distribution; each x0 then costs one K x K solve, batched over all
-    points, and phi''(x0) = drift_bound(B, x0) - w_0^T q.
+    A_1 depends on K alone, so one Schur factorisation serves a stack; each
+    bank adds K + 1 triangular solves, and a call one K x K solve per (bank,
+    point), all batched; phi''(x0) = drift_bound(B, x0) - w_0^T q.
 
     Every point is checked against the full equation, as the direct solve
     checks it: with R_C and R_j the residuals of the K + 1 base solves, the
@@ -374,21 +374,27 @@ def batched_drift_fn(d):
     k = d.k
     eye = np.eye(k)
     t, z = schur_form(a_settled)
-    sym = row[None, :, None] * eye[:, None, :]  # sym[j] = row e_j^T
-    rhs = np.concatenate([delta_w[None], sym + sym.transpose(0, 2, 1)])
-    base = np.array([solve_lyapunov_schur(t, z, q) for q in rhs])
-    base_res = np.max(np.abs(a_settled.T @ base + base @ a_settled - rhs), axis=(1, 2))
-    res_c, res_m = base_res[0], base_res[1:]
-    a = (base[0] @ w0)[:, None]
-    g = (base[1:] @ w0).T
+    # (bank, ...) arrays: one bank is a stack of one
+    row, delta_w = row.reshape(-1, k), delta_w.reshape(-1, k, k)
+    sym = row[:, None, :, None] * eye[:, None, :]  # sym[m, j] = row_m e_j^T
+    rhs = np.concatenate([delta_w[:, None], sym + sym.swapaxes(2, 3)], axis=1)
+    base = np.reshape([solve_lyapunov_schur(t, z, q) for q in rhs.reshape(-1, k, k)],
+                      rhs.shape)
+    base_res = np.max(np.abs(a_settled.T @ base + base @ a_settled - rhs), axis=(2, 3))
+    # (bank, point, ...) arrays from here on
+    res_c = base_res[:, :1, None, None]
+    a = (base[:, 0] @ w0)[:, None, :, None]
+    g = (base[:, 1:] @ w0).swapaxes(1, 2)[:, None]
     # weights of |q_j| and of the capacitance defect in the residual bound
-    weights = np.concatenate([res_m, np.full(k, 2.0 * np.max(np.abs(row)))])[None]
-    delta_max = np.max(np.abs(delta_w))
+    row_max = (2.0 * np.abs(row).max(axis=1, keepdims=True)).repeat(k, axis=1)
+    weights = np.concatenate([base_res[:, 1:], row_max], axis=1)[:, None, None]
+    delta_max = np.abs(delta_w).max(axis=(1, 2)).reshape(-1, 1, 1, 1)
 
     def phi2(x0):
         x0 = np.asarray(x0, dtype=float)
-        s = 1.0 - x0.reshape(-1, 1, 1)
-        c = 2.0 * s / (big_b * s + 1.0)
+        s = 1.0 - x0.reshape(1, -1)
+        c = 2.0 * s / (big_b * s + 1.0)  # B a float, or a stack's (M, 1) column
+        s, c = s[..., None, None], c[..., None, None]
         cap = eye + s * g
         ca = c * a
         try:
@@ -396,15 +402,15 @@ def batched_drift_fn(d):
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"capacitance matrix I + s G singular ({exc})") from None
         # the sum of the defect's entries bounds their maximum
-        terms = np.abs(np.concatenate((q, cap @ q - ca), axis=1))
+        terms = np.abs(np.concatenate((q, cap @ q - ca), axis=2))
         abs_c = np.abs(c)
         bound = abs_c * res_c + np.abs(s) * (weights @ terms)
         worst = (bound / np.maximum(1.0, delta_max * abs_c)).max(initial=0.0)
         if not worst <= 1e-8:
             raise SingularSystem(f"Lyapunov residual bound {worst:.3g} max(1, c |Q|) is "
                                  "above the tolerance 1e-8 max(1, c |Q|), Q = Delta_W")
-        out = drift_bound(big_b, x0) - (w0 @ q).reshape(x0.shape)
-        return out if out.ndim else out[()]
+        out = drift_bound(big_b, x0)
+        return out - (w0 @ q).reshape(out.shape)
 
     return phi2
 
@@ -439,24 +445,21 @@ def drift_factor_fn(d):
 
     The closed forms at K <= 2 (which equal the engine output); for deeper
     seed banks ``batched_drift_fn``: exact, with one Schur factorisation per
-    distribution and one K x K solve per point, all points of a call
-    batched, each checked against the full Lyapunov equation.
-    ``drift_second_derivative`` keeps the direct per-point solve as the
-    oracle.  Build the callable once per distribution and call it on arrays.
+    build and one K x K solve per bank and point, all of a call batched, each
+    checked against the full Lyapunov equation.  ``drift_second_derivative``
+    keeps the direct per-point solve as the oracle.  Build the callable once
+    per distribution or stack and call it on arrays.
 
-    For a ``Banks`` stack of M distributions the callable maps an (n,) array
-    x0 to (M, n) rows, each bit for bit the distribution's own: at K <= 2 one
-    closed-form evaluation on the stack's (M, 1) columns, deeper one call per
-    distribution.  The closed forms are sums, products and quotients, with
-    no powers, so a scalar, an array and a column round alike.
+    For a ``Banks`` stack of M distributions, at every K, the callable maps a
+    scalar x0 to an (M, 1) column and an (n,) array to (M, n) rows, each bit
+    for bit the distribution's own: one evaluation on the stack's (M, 1)
+    columns.  The closed forms are sums, products and quotients, with no
+    powers, so a scalar, an array and a column round alike.
     """
     if d.k == 1:
         return functools.partial(drift_k1_closed, d.columns[1])
     if d.k == 2:
         return functools.partial(drift_k2_closed, d)
-    if np.ndim(d.mean_time):
-        rows = list(map(batched_drift_fn, d))
-        return lambda x0: np.array([fn(x0) for fn in rows])
     return batched_drift_fn(d)
 
 

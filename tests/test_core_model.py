@@ -28,6 +28,9 @@ def test_mean_time_examples():
 
 
 def test_tail_sums_examples():
+    # a stack's tails are its rows' tails, not the tails of its flat entries
+    np.testing.assert_array_equal(tail_sums(Banks([[0.5, 0.3, 0.2], [0.6, 0.1, 0.3]])),
+                                  [[0.5, 0.2], [0.4, 0.3]])
     np.testing.assert_allclose(tail_sums(validate_distribution([0.5, 0.5])), [0.5])
     np.testing.assert_allclose(
         tail_sums(validate_distribution([0.6, 0.2, 0.2])), [0.4, 0.2]
@@ -96,7 +99,8 @@ def test_validation_accepts_and_rejects():
 def test_stack_rows_are_one_bank_views(k):
     # each row's mean time is the one-bank one bit for bit, and both are
     # Python's sum(i * b_i), left to right (b @ arange(K + 1) is not, in the
-    # last bit, on some rows at K = 5, 10 and 20); the row's view is that bank
+    # last bit, on some rows at K = 5, 10 and 20); the row is that bank, and
+    # so are its tail sums, bit for bit
     rng = np.random.default_rng(k)
     rows = rng.dirichlet(np.ones(k + 1), 200)
     banks = Banks(rows)
@@ -105,7 +109,10 @@ def test_stack_rows_are_one_bank_views(k):
     by_sum = [float(sum(i * x for i, x in enumerate(row))) for row in rows.tolist()]
     for want in ([d.mean_time for d in singles], by_sum):
         assert banks.mean_time.tobytes() == np.array(want).tobytes()
-    assert [d.b for d in banks] == [d.b for d in singles]
+    assert banks.array.tolist() == [list(d.b) for d in singles]
+    tails = tail_sums(banks)
+    assert tails.shape == (200, k)
+    assert tails.tobytes() == np.array([tail_sums(d) for d in singles]).tobytes()
     # the columns the closed forms take
     big_b, *b = banks.columns
     assert big_b.shape == (200, 1) and len(b) == k + 1

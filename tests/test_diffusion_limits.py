@@ -478,15 +478,74 @@ def test_closed_drift_batch_rows_are_single_calls(ds, x):
     rows = drift_factor_fn(stack(ds))(x)
     assert_same_bits(rows, [drift_factor_fn(d)(x) for d in ds])
     assert_same_bits(rows, [[drift_factor_fn(d)(v) for v in x.tolist()] for d in ds])
+    # a scalar gives an (M, 1) column
+    v = float(x[0])
+    assert_same_bits(drift_factor_fn(stack(ds))(v), [[drift_factor_fn(d)(v)] for d in ds])
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([3, 5]), st.integers(1, 5), st.integers(0, 2**32 - 1), nodes)
 def test_deep_drift_stack_rows_are_single_calls(k, m, seed, x):
-    # a stack at K >= 3: one call per distribution, each row bit for bit its own
+    # a stack at K >= 3: one batched solve, each row bit for bit the bank's own
+    # call, with the closed forms' shapes: (M, n) for n points, (M, 1) for a scalar
     rng = np.random.default_rng(seed)
     ds = [random_simplex(rng, k) for _ in range(m)]
-    assert_same_bits(drift_factor_fn(stack(ds))(x), [drift_factor_fn(d)(x) for d in ds])
+    phi2 = drift_factor_fn(stack(ds))
+    assert_same_bits(phi2(x), [drift_factor_fn(d)(x) for d in ds])
+    v = float(x[0])
+    assert_same_bits(phi2(v), [[drift_factor_fn(d)(v)] for d in ds])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 10, 20])
+def test_deep_drift_stack_rows_are_single_calls_at_depth(k):
+    # zero entries, b0 = 1 and b0 near 0 among the rows, on 199 nodes and a scalar
+    rng = np.random.default_rng(k)
+    ds = [random_simplex(rng, k) for _ in range(3)]
+    ds += [validate_distribution([1.0] + [0.0] * k),
+           validate_distribution([1e-3] + [0.999 / (k - 1)] * (k - 1) + [0.0])]
+    phi2 = drift_factor_fn(stack(ds))
+    for x in (np.linspace(0.0, 1.0, 199), 0.37):
+        assert_same_bits(phi2(x), [np.reshape(drift_factor_fn(d)(x), -1) for d in ds])
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_deep_stack_g_and_constant_pair_are_single_calls(k):
+    # g and the constant pair of a stack: one row per bank, bit for bit its
+    # own, an (M, 1) column for a scalar, and drift and diffusion of one shape
+    rng = np.random.default_rng(41 + k)
+    ds = [random_simplex(rng, k) for _ in range(3)]
+    banks = stack(ds)
+    pairs = [constant_coefficients_vec(d) for d in ds]
+    for x in (0.3, np.linspace(0.0, 1.0, 21)):
+        want_shape = (3, np.size(x))
+        g = g_function(banks, x, 1.0)
+        assert g.shape == want_shape
+        assert_same_bits(g, [np.reshape(g_function(d, x, 1.0), -1) for d in ds])
+        for i, fn in enumerate(constant_coefficients_vec(banks)):
+            assert fn(x).shape == want_shape
+            assert_same_bits(fn(x), [np.reshape(pair[i](x), -1) for pair in pairs])
+    starts = np.array([0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(
+        scale_fixation(*constant_coefficients_vec(banks), starts),
+        [scale_fixation(*pair, s) for pair, s in zip(pairs, starts.tolist())])
+
+
+def test_fast_pair_of_a_stack_is_single_pairs():
+    # the rows of a K = 1 stack's fast pair are the single pairs, bit for bit,
+    # and a batch scale solve gives the single solves; deeper stacks are refused
+    fenv = FastEnvSpec(p=0.25, s=1.5)
+    ds = [k1_bank(b0) for b0 in (0.2, 0.5, 1.0)]
+    pair = fast_coefficients_vec(stack(ds), fenv)
+    singles = [fast_coefficients_vec(d, fenv) for d in ds]
+    for x in (0.3, np.linspace(0.0, 1.0, 11)):
+        for i, fn in enumerate(pair):
+            assert_same_bits(fn(x), [np.reshape(single[i](x), -1) for single in singles])
+    starts = np.array([0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(
+        scale_fixation(*pair, starts),
+        [scale_fixation(*single, s) for single, s in zip(singles, starts.tolist())])
+    with pytest.raises(UnsupportedK):
+        fast_coefficients_vec(stack([k2_bank(0.5, 0.5), k2_bank(0.3, 0.2)]), fenv)
 
 
 def test_closed_forms_round_alike_on_scalars_and_arrays():

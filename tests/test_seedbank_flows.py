@@ -29,11 +29,12 @@ from seedbank import (
     validate_distribution,
 )
 from seedbank import seedbank_flows
+from seedbank.core_model import GerminationDistribution
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
 from seedbank.seedbank_flows import batched_drift_fn, left_eigvec_prime
-from conftest import random_simplex
+from conftest import random_simplex, stack
 
 
 def slow_spec():
@@ -374,16 +375,43 @@ def test_batched_drift_residual_check_catches_bad_base_solve(monkeypatch):
     with pytest.raises(SingularSystem):
         phi2(0.9)
     assert phi2(1.0) == drift_bound(d.mean_time, 1.0)  # c = s = 0: nothing to check
+    # a stack whose last bank's base solves alone are off: the whole call fails
+    banks = stack([random_simplex(np.random.default_rng(74), 5), d])
+    calls = []
+
+    def last_off(t, z, q):
+        calls.append(None)
+        return solve(t, z, q) + (1e-6 if len(calls) > 6 else 0.0)
+
+    monkeypatch.setattr(seedbank_flows, "solve_lyapunov_schur", last_off)
+    phi2 = batched_drift_fn(banks)
+    assert len(calls) == 12
+    with pytest.raises(SingularSystem):
+        phi2(np.array([0.2, 0.5]))
+    with pytest.raises(SingularSystem):
+        phi2(0.9)
 
 
 def test_batched_drift_residual_check_catches_bad_capacitance_solve(monkeypatch):
     d = random_simplex(np.random.default_rng(79), 5)
     phi2 = batched_drift_fn(d)
+    stack_phi2 = batched_drift_fn(stack([random_simplex(np.random.default_rng(80), 5), d]))
     phi2(0.5)  # sound before the mutation
+    stack_phi2(0.5)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
     with pytest.raises(SingularSystem):
         phi2(0.5)
+
+    def last_off(a, b):
+        # the last bank's systems alone are off
+        q = solve(a, b)
+        q[-1] *= 1.0 + 1e-6
+        return q
+
+    monkeypatch.setattr(np.linalg, "solve", last_off)
+    with pytest.raises(SingularSystem):
+        stack_phi2(np.array([0.2, 0.5]))
 
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -391,13 +419,17 @@ def test_batched_drift_residual_check_catches_bad_capacitance_solve(monkeypatch)
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SingularSystem):
         phi2(0.5)
+    with pytest.raises(SingularSystem):
+        stack_phi2(0.5)
 
 
 def test_batched_drift_failed_factorisations_are_typed(monkeypatch):
     # the Schur helpers look lapack's routines up at call time, so patching
     # the module's attributes reaches them
     d = random_simplex(np.random.default_rng(83), 4)
+    banks = stack([random_simplex(np.random.default_rng(84), 4), d])
     gees, trsyl = lapack.dgees, lapack.dtrsyl
+    calls = []
 
     def failed_gees(*args, **kwargs):
         return gees(*args, **kwargs)[:-1] + (1,)
@@ -405,13 +437,49 @@ def test_batched_drift_failed_factorisations_are_typed(monkeypatch):
     def failed_trsyl(*args, **kwargs):
         return trsyl(*args, **kwargs)[:-1] + (1,)
 
+    def last_failed_trsyl(*args, **kwargs):
+        # the last bank's last base solve alone fails
+        calls.append(None)
+        return (failed_trsyl if len(calls) == 10 else trsyl)(*args, **kwargs)
+
     monkeypatch.setattr(lapack, "dgees", failed_gees)
-    with pytest.raises(SingularSystem):
-        batched_drift_fn(d)
+    for bank in (d, banks):
+        with pytest.raises(SingularSystem):
+            batched_drift_fn(bank)
     monkeypatch.setattr(lapack, "dgees", gees)
     monkeypatch.setattr(lapack, "dtrsyl", failed_trsyl)
     with pytest.raises(SingularSystem):
         batched_drift_fn(d)
+    monkeypatch.setattr(lapack, "dtrsyl", last_failed_trsyl)
+    with pytest.raises(SingularSystem):
+        batched_drift_fn(banks)
+    assert len(calls) == 10
+
+
+def test_deep_stack_drift_is_one_factorisation(monkeypatch):
+    # a 5-bank stack at K = 5 takes one Schur factorisation and builds no bank
+    # per row; its rows are the banks' own calls
+    rng = np.random.default_rng(85)
+    ds = [random_simplex(rng, 5) for _ in range(5)]
+    banks = stack(ds)
+    xs = np.linspace(0.0, 1.0, 7)
+    want = [drift_factor_fn(d)(xs) for d in ds]
+    counts = {"gees": 0, "banks": 0}
+    gees, post_init = lapack.dgees, GerminationDistribution.__post_init__
+
+    def counted_gees(*args, **kwargs):
+        counts["gees"] += 1
+        return gees(*args, **kwargs)
+
+    def counted_post_init(self):
+        counts["banks"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(lapack, "dgees", counted_gees)
+    monkeypatch.setattr(GerminationDistribution, "__post_init__", counted_post_init)
+    got = drift_factor_fn(banks)(xs)
+    assert counts == {"gees": 1, "banks": 0}
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_drift_strictly_increasing():
