@@ -119,10 +119,14 @@ def slow_coefficients_vec(d, env):
     mu_rho = (selection - pull alpha)/xi + eta^2 (pull + Ito)/xi^2, and
     ``diffusion(rho0, xi)`` the entries (sqrt(variance / xi), -pull eta / xi,
     eta) of the matrix [[., .], [0, eta]] whose columns are the noises
-    (W_0, W_env); the factors are those of ``_slow_factors``.
+    (W_0, W_env); the factors are those of ``_slow_factors``.  For a ``Banks``
+    stack of M, each entry that depends on the bank has one row per bank (an
+    (M, 1) column for scalars, (M, n) rows for (n,) arrays), each bit for bit
+    that bank's own pair, as ``constant_coefficients_vec`` gives them; alpha
+    and eta keep the shape of xi.
     """
     phi2 = drift_factor_fn(d)
-    big_b = d.mean_time
+    big_b = d.columns[0]
     alpha, eta = env.alpha, env.eta
 
     def factors(rho):
@@ -142,6 +146,17 @@ def slow_coefficients_vec(d, env):
     return drift_vec, diff_vec
 
 
+# live replicates at or below which sample_absorption steps Python floats.
+# Measured on a 2-vCPU Xeon with perfbench's calibrated timer (median of 7,
+# alternating with the array-only loop): the monte-carlo task (K = 1,
+# 4 x 400 replicates) ran 0.84x, 0.78x, 0.77x and 0.74x as long at 2, 3, 4
+# and 8.  At K = 5 phi'' costs about 30 us on one float and 37 us on 1-8
+# points, so deep banks bound it: Tier-1's three K = 5 runs took +0.3, +3.2
+# and -5.9 % at 3, +6 to +15 % on the deep-bank pin at 4, and +10 to +25 %
+# at 8
+TAIL_REPLICATES = 3
+
+
 def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
     """Vectorized absorption sampling for a 1-D diffusion on [0, 1].
 
@@ -151,6 +166,14 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     [1e-9, 1 - 1e-9], so no step needs clipping into [0, 1].  ``dt`` must
     lie in (0, max_time], and ``seed`` is an integer in [0, 2**64).  Returns
     (fixed, lost, censored) replicate counts.
+
+    Once ``TAIL_REPLICATES`` or fewer are live, the run steps them as Python
+    floats, each through the pair called on one float: the same normal draws
+    (one ``standard_normal`` call per step), the same update in the same
+    order, and the same tests.  So each callable must map a float to a
+    number, and the counts are those of the array steps only if that number
+    is, bit for bit, the value the float has inside an array, as it is for
+    every pair in this package.
     """
     check_positive_int("replicates", replicates)
     if not 0.0 < max_time < math.inf:
@@ -163,11 +186,10 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
     rng = np.random.default_rng(seed)
     y = np.full(replicates, float(start))  # live replicates only, order kept
     fixed = lost = 0
-    n_steps = int(round(max_time / dt))
+    steps_left = int(round(max_time / dt))
     sqrt_dt = math.sqrt(dt)
-    for _ in range(n_steps):
-        if not y.size:
-            break
+    while steps_left and y.size > TAIL_REPLICATES:
+        steps_left -= 1
         y = y + drift_vec(y) * dt + diff_vec(y) * sqrt_dt * rng.standard_normal(y.size)
         hit_lost = y < 1e-9
         hit_fixed = y > 1.0 - 1e-9
@@ -176,7 +198,23 @@ def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time
             lost += int(np.count_nonzero(hit_lost))
             fixed += int(np.count_nonzero(hit_fixed))
             y = y[~done]
-    return fixed, lost, y.size
+    ys = y.tolist()
+    for _ in range(steps_left):
+        if not ys:
+            break
+        live = []
+        for v, z in zip(ys, rng.standard_normal(len(ys)).tolist()):
+            # float(): a pair may return numpy scalars, whose arithmetic
+            # costs about twice a float's in the next step's call
+            v = float(v + drift_vec(v) * dt + diff_vec(v) * sqrt_dt * z)
+            if v < 1e-9:
+                lost += 1
+            elif v > 1.0 - 1e-9:
+                fixed += 1
+            else:
+                live.append(v)
+        ys = live
+    return fixed, lost, len(ys)
 
 
 # Chebyshev degrees tried by scale_fixation, and the relative size below which

@@ -332,8 +332,12 @@ def drift_second_derivative(d, x0):
     matrix attributable to the rank-one Hessian defect, the latter from the
     deflated semistable Lyapunov solve (``_deflated_drift_pieces``).  This is
     the oracle path; the diffusion limits use ``batched_drift_fn``, which is
-    exact too and much cheaper per point.
+    exact too and much cheaper per point.  ``d`` is one bank; a ``Banks``
+    stack raises ``ValidationError`` (``drift_factor_fn`` takes a stack).
     """
+    if np.ndim(d.mean_time):
+        raise ValidationError("drift_second_derivative, the per-point oracle, takes "
+                              "one bank; drift_factor_fn takes a Banks stack")
     big_b, a_settled, w0, row, delta_w = _deflated_drift_pieces(d)
     x0 = np.asarray(x0, dtype=float)
     out = np.empty(x0.shape)

@@ -548,6 +548,28 @@ def test_fast_pair_of_a_stack_is_single_pairs():
         fast_coefficients_vec(stack([k2_bank(0.5, 0.5), k2_bank(0.3, 0.2)]), fenv)
 
 
+@pytest.mark.parametrize("eta_amp", [0.0, 0.5], ids=["eta0", "eta"])
+def test_slow_pair_of_a_stack_is_single_pairs(eta_amp):
+    # every bank-dependent entry of a stack's slow pair has one row per bank,
+    # bit for bit that bank's own pair (B was once read as the stack's (M,)
+    # mean times, which paired bank j's B with point j)
+    env = bounded_env(eta_amp=eta_amp)
+    ds = [validate_distribution(b) for b in
+          ([0.5, 0.25, 0.25], [0.3, 0.4, 0.3], [0.6, 0.1, 0.3])]
+    pair = slow_coefficients_vec(stack(ds), env)
+    singles = [slow_coefficients_vec(d, env) for d in ds]
+    for rho, xi in ((0.3, 0.8), (np.array([0.2, 0.5, 0.8]), np.ones(3)),
+                    (np.linspace(-0.1, 1.1, 13), np.linspace(0.5, 2.0, 13))):
+        for i, fn in enumerate(pair):
+            for j, entry in enumerate(fn(rho, xi)):
+                want = [np.reshape(single[i](rho, xi)[j], -1) for single in singles]
+                if np.ndim(entry) == 2:
+                    assert_same_bits(entry, want)
+                else:  # alpha and eta: xi alone, the shape of xi
+                    for w in want:
+                        assert_same_bits(np.reshape(entry, -1), w)
+
+
 def test_closed_forms_round_alike_on_scalars_and_arrays():
     # sums, products and quotients, no powers: each value of an array call is
     # bit for bit the scalar call's (a float's ** is a C pow, an array's a
@@ -628,6 +650,90 @@ def test_sample_absorption_pinned_counts_deep_bank():
     got = sample_absorption(drift_vec, diff_vec, 0.3, dt=5e-3, seed=3, replicates=200,
                             max_time=200.0)
     assert got == (97, 103, 0)
+
+
+def test_sample_absorption_pinned_counts_fast_pair():
+    # the fast regime's pair (h from its closed form), every replicate
+    # absorbed, pinned at the array-only step loop
+    pair = fast_coefficients_vec(validate_distribution([0.5, 0.5]),
+                                 FastEnvSpec(p=0.25, s=1.0))
+    got = sample_absorption(*pair, 0.3, dt=5e-3, seed=1, replicates=400, max_time=20.0)
+    assert got == (164, 236, 0)
+
+
+def loop_sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
+    """The step loop with every step on an array of the live replicates (the
+    reference for the Python-float tail)."""
+    rng = np.random.default_rng(seed)
+    y = np.full(replicates, float(start))
+    fixed = lost = 0
+    sqrt_dt = math.sqrt(dt)
+    for _ in range(int(round(max_time / dt))):
+        if not y.size:
+            break
+        y = y + drift_vec(y) * dt + diff_vec(y) * sqrt_dt * rng.standard_normal(y.size)
+        hit_lost = y < 1e-9
+        hit_fixed = y > 1.0 - 1e-9
+        done = hit_lost | hit_fixed
+        if done.any():
+            lost += int(np.count_nonzero(hit_lost))
+            fixed += int(np.count_nonzero(hit_fixed))
+            y = y[~done]
+    return fixed, lost, y.size
+
+
+def recorded(pair):
+    """The pair, with the drift writing down every state it is called on, in
+    order, and the list it writes to."""
+    drift_vec, diff_vec = pair
+    seen = []
+
+    def drift(y):
+        seen.extend(np.reshape(y, -1).tolist())
+        return drift_vec(y)
+
+    return (drift, diff_vec), seen
+
+
+TAIL_PAIRS = {
+    "constant-K1": lambda: constant_coefficients_vec(validate_distribution([0.5, 0.5])),
+    "constant-K1-b0.05": lambda: constant_coefficients_vec(
+        validate_distribution([0.05, 0.95])),
+    "constant-K2": lambda: constant_coefficients_vec(
+        validate_distribution([0.5, 0.3, 0.2])),
+    "constant-K5": lambda: constant_coefficients_vec(
+        validate_distribution([0.4, 0.2, 0.15, 0.1, 0.1, 0.05])),
+    "fast": lambda: fast_coefficients_vec(validate_distribution([0.5, 0.5]),
+                                          FastEnvSpec(p=0.25, s=1.0)),
+    "lambda": lambda: (lambda x: 0.2 * x * (1.0 - x),
+                       lambda x: np.sqrt(np.maximum(x * (1.0 - x), 0.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(TAIL_PAIRS))
+def test_sample_absorption_tail_matches_array_loop(name):
+    # once TAIL_REPLICATES or fewer are live the replicates step as Python
+    # floats: every state, and so the counts, bit for bit those of the array
+    # loop, from below, at and above the threshold, absorbed or censored
+    # (also inside the tail), over several seeds
+    pair = TAIL_PAIRS[name]()
+    tail = diffusion_limits.TAIL_REPLICATES
+    seeds = (1, 2) if name in ("constant-K5", "fast") else (1, 2, 3)  # the costly pairs
+    cases = [(start, seed, reps, max_time)
+             for seed in seeds
+             for reps in (1, tail, tail + 1, 12)
+             for start, max_time in ((0.3, 200.0), (0.05, 0.4), (0.9, 0.6))]
+    counts = []
+    for start, seed, reps, max_time in cases:
+        (got_pair, got_seen), (want_pair, want_seen) = recorded(pair), recorded(pair)
+        args = (start, 5e-3, seed, reps, max_time)
+        got = sample_absorption(*got_pair, *args)
+        assert got == loop_sample_absorption(*want_pair, *args)
+        assert got_seen == want_seen
+        counts.append(got)
+    # some runs end censored inside the tail, and some absorb every replicate
+    assert any(0 < censored <= tail for _, _, censored in counts)
+    assert any(censored == 0 for _, _, censored in counts)
 
 
 def test_sample_absorption_input_checks():

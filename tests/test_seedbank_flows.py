@@ -29,7 +29,7 @@ from seedbank import (
     validate_distribution,
 )
 from seedbank import seedbank_flows
-from seedbank.core_model import GerminationDistribution
+from seedbank.core_model import Banks, GerminationDistribution
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
@@ -48,6 +48,10 @@ def test_flow_kind_validation():
     assert FlowKind("constant", d).dim == 2
     assert FlowKind("slow_env", d).dim == 3
     assert FlowKind("fast_env", d).dim == 3
+    # the per-point oracle takes one bank; a stack once failed on a bare
+    # broadcast ValueError
+    with pytest.raises(ValidationError, match="takes one bank; drift_factor_fn"):
+        drift_second_derivative(Banks([[0.5, 0.25, 0.25], [0.3, 0.4, 0.3]]), 0.3)
 
 
 def test_flows_vanish_on_manifold():
