@@ -178,6 +178,10 @@ def cmd_mc_compare(args):
         env = make_env_process("deterministic_logistic", xi_min=args.xi_min,
                                xi_max=args.xi_max, n_pop=args.N, r=args.r,
                                xi_inf=args.xi_inf)
+        # both the simulation and the prediction start at xi = 1
+        if not args.xi_min <= 1.0 <= args.xi_max:
+            raise ValidationError(f"--xi-min {args.xi_min} and --xi-max {args.xi_max} "
+                                  "must bracket the start xi = 1")
         prediction = kolmogorov_fixation(d, {"r": args.r, "xi_inf": args.xi_inf},
                                          args.start)
     elif args.regime == "fast":

@@ -1,7 +1,7 @@
 """Exact discrete-generation simulators for the three regimes.
 
-All regimes run one generation kernel, ``_generation``: the number of new
-mature mutants is a binomial draw whose success probability weighs mutant
+All regimes run one generation: the number of new mature mutants is a
+binomial draw whose success probability (``_transition_probs``) weighs mutant
 seeds from the last K+1 generations against the wild-type pool, followed by an
 ageing shift of the seed-bank coordinates.  The regimes differ only in what
 they feed it (the mature sizes floor(xi N) of generations t and t+1, or the
@@ -16,15 +16,20 @@ each replicate follows its own path, one xi per row; the fast regime keeps
 per row the weights of the fresh and the last K marks, looked up in the
 three-entry table 1 + s_N * mark.  Its counts are one float64 (R, K+1) array,
 exact because counts stay far below 2**53, aged in place every generation; the
-binomial draw is the only integer array.  Rows are dropped, order kept, only on
-a generation that absorbed some of them.
+binomial draw is the only integer array.  A row is fixed only on a draw of
+all its trials and lost only on a draw of 0, so the absorption test runs only
+on a generation with such a draw, and rows are dropped, order kept, only on a
+generation that absorbed some of them.
 
-A block that has shrunk to ``SCALAR_ROWS`` rows or fewer, as every block does
-near the end of a run, draws row by row with scalar arguments, and tests for
-absorption only when a draw is 0 or all trials.  numpy runs the same binomial
+Once a block is down to ``TAIL_ROWS`` live rows or fewer, as every block gets
+near the end of a run, it runs its last generations (the tail) on lists of
+Python numbers: the environment from the same streams (the walk's xi still an
+array), each row's probability by the same operations in the same order, and
+one scalar binomial draw per row in row order.  numpy runs the same binomial
 routine on the same stream for scalar and array arguments, so the draws, and
-every result, are those of the array call; the scalar calls skip the array
-call's argument checks, which cost more than a few draws.
+every result, are bit for bit those of the array generation; the scalar calls
+skip the array call's argument checks, which cost more than a few draws, and
+the lists skip numpy's per-call cost on a few rows.
 
 Monte Carlo fixation runs use counter-based RNG streams (Philox keyed by
 master seed, replicate block, and channel), so results are independent of
@@ -32,6 +37,7 @@ scheduling and thread count, and the environment channel never perturbs the
 genetic channel.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
@@ -42,11 +48,13 @@ from .core_model import SlowEnvSpec, check_positive_int, check_seed
 from .errors import ValidationError
 
 BLOCK_SIZE = 4096
-# rows at or below which a generation draws row by row (see ``_binomial``).
-# Measured on a K=5 block: at 8 rows a generation costs about 16 us this way
-# and 23 us with the array call; the two break even near 14 rows, and whole
-# runs time the same with 8 or 12
-SCALAR_ROWS = 8
+# live rows at or below which a block runs its tail in Python numbers (see
+# the module docstring).  Timed per generation on the same generations run
+# both ways (N = 300, b = (0.5, 0.5), and N = 200 at K = 5), a tail
+# generation cost 0.17-0.32 of an array one at 1 row, 0.86-0.99 at 10-11
+# rows (constant, fast and K = 5; the logistic slow regime breaks even at
+# 16-19), and 1.05-1.21 at 12-13
+TAIL_ROWS = 10
 _GEN_CHANNEL = 0
 _ENV_CHANNEL = 1
 
@@ -56,48 +64,61 @@ def _block_rng(master_seed, block_index, channel):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _transition_probs(x, b, wild, w0, bw):
-    """Success probability of the next-generation binomial draw.
-
-    ``x`` holds float counts of shape (R, K+1); ``wild`` is the count of
-    mature wild-type individuals; ``w0`` is the environment weight of
-    generation-t seeds, or None where every weight is 1, and ``bw`` is
-    ``b[1:] * w`` for the weights ``w`` of the dormant generations, shape (K,)
-    when every row shares them (made once per block by the caller) and
-    (R, K) when each row has its own.  All regimes go through this one
-    expression so that degenerate parameters give bit-identical
-    probabilities.
-    """
-    x0 = x[:, 0]
-    dormant = np.einsum("rk,k->r" if bw.ndim == 1 else "rk,rk->r", x[:, 1:], bw)
-    mature = b[0] * x0
+def _probability(b0, x0, wild, w0, dormant):
+    """The success probability from a row's mature count ``x0``, its wild-type
+    count ``wild`` and its weighted dormant sum: on arrays (in place) or on
+    Python floats, with the same operations in the same order."""
+    mature = b0 * x0
     if w0 is None:
         # w0 = 1: the products with w0 in the other branch change no bit
         num = mature + dormant
         den = wild + mature
     else:
-        num = b[0] * w0 * x0 + dormant
+        num = b0 * w0 * x0 + dormant
         den = (wild + mature) * w0
     den += dormant
     num /= den
     return num
 
 
-def _binomial(rng, n, p):
-    """Binomial draws of trials ``n`` (a scalar, or one per row) and success
-    probabilities ``p`` (shape (R,)): an int64 array above ``SCALAR_ROWS``
-    rows, a list of ints, drawn row by row in row order, at or below it.
+def _transition_probs(x, b, trials_now, w0, bw):
+    """Success probability of the next-generation binomial draw.
 
-    Both run numpy's one binomial routine on the same stream, so the draws
-    are identical; the row-by-row path skips the array call's argument
-    checks, which cost more than the draws themselves on a few rows.
+    ``x`` holds float counts of shape (R, K+1); ``trials_now`` is the mature
+    population size of generation t (a scalar, or one per row), of which
+    ``x[:, 0]`` are mutants; ``w0`` is the environment weight of generation-t
+    seeds, or None where every weight is 1, and ``bw`` is ``b[1:] * w`` for
+    the weights ``w`` of the dormant generations, shape (K,) when every row
+    shares them (made once per block by the caller) and (R, K) when each row
+    has its own.  All regimes go through this one expression so that
+    degenerate parameters give bit-identical probabilities.
+
+    In the tail of a block (see the module docstring) the same arguments come
+    as Python lists and numbers: ``x`` a list of R registers, ``b`` a list,
+    ``trials_now`` one per row (a list or ``itertools.repeat``), and ``w0``
+    and ``bw`` one per row, or None and one shared list.  The result is then
+    a list of Python floats, each bit for bit the array's: a left-to-right
+    Python sum rounds each row's dormant sum as ``einsum`` does at K <= 2
+    but not beyond, so at K >= 3 the sums come from one ``einsum`` over the
+    rows.  (perfbench counts replicate generations by the rows this function
+    is given, so the tail comes through here as well.)
     """
-    if p.size > SCALAR_ROWS:
-        return rng.binomial(n, p)
-    draw = rng.binomial
-    if isinstance(n, np.ndarray) and n.ndim:
-        return list(map(draw, n.tolist(), p.tolist()))
-    return [draw(n, q) for q in p.tolist()]
+    if type(x) is not list:
+        spec = "rk,k->r" if bw.ndim == 1 else "rk,rk->r"
+        return _probability(b[0], x[:, 0], trials_now - x[:, 0], w0,
+                            np.einsum(spec, x[:, 1:], bw))
+    b0 = b[0]
+    shared = w0 is None
+    ws = itertools.repeat(None) if shared else w0
+    if len(b) > 3:
+        spec = "rk,k->r" if shared else "rk,rk->r"
+        dormant = np.einsum(spec, np.array(x, dtype=float)[:, 1:],
+                            np.array(bw)).tolist()
+        return [_probability(b0, row[0], n - row[0], w, s)
+                for row, n, w, s in zip(x, trials_now, ws, dormant)]
+    return [_probability(b0, row[0], n - row[0], w, sum(map(operator.mul, row[1:], v)))
+            for row, n, w, v in zip(x, trials_now, ws,
+                                    itertools.repeat(bw) if shared else bw)]
 
 
 def _age(register, fresh):
@@ -115,27 +136,15 @@ def _age(register, fresh):
 
 def _generation(x, b, trials_now, trials_next, w0, bw, rng):
     """One generation of every row of ``x`` (float counts, shape (R, K+1)),
-    in place; returns the draws of new mature mutants (see ``_binomial``).
+    in place; returns the int64 draws of new mature mutants.
 
     ``trials_now``/``trials_next`` are the mature population sizes of
     generations t and t+1 (scalars or shape (R,)); ``w0``/``bw`` are the
     environment weights passed to ``_transition_probs``.
     """
-    new = _binomial(rng, trials_next,
-                    _transition_probs(x, b, trials_now - x[:, 0], w0, bw))
+    new = rng.binomial(trials_next, _transition_probs(x, b, trials_now, w0, bw))
     _age(x, new)
     return new
-
-
-def _may_absorb(new, trials):
-    """Whether row-by-row draws ``new`` (a list) can have absorbed a row: a
-    row is lost only on a draw of 0 and fixed only on a draw of all ``trials``
-    (a scalar, or one per row)."""
-    if 0 in new:
-        return True
-    if isinstance(trials, np.ndarray):
-        return any(map(operator.eq, new, trials.tolist()))
-    return trials in new
 
 
 def _mature_size(xi, n_pop):
@@ -254,10 +263,10 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
         weights = np.ones((block_size, d.k + 1))
         table = 1.0 + fenv.s_of_N(n_pop) * fenv.MARKS
     fixed = lost = 0
+    generations = max_generations  # left to run
 
-    for _ in range(max_generations):
-        if x.shape[0] == 0:
-            break
+    while generations and x.shape[0] > TAIL_ROWS:
+        generations -= 1
         if regime == "slow":
             # generation t's mature sizes are generation t-1's trials_next
             trials_now = trials_next
@@ -268,7 +277,10 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             w0, bw = weights[:, 0], b[1:] * weights[:, 1:]
 
         new = _generation(x, b, trials_now, trials_next, w0, bw, gen_rng)
-        if type(new) is list and not _may_absorb(new, trials_next):
+        # a row is fixed only on a draw of all trials and lost only on a draw
+        # of 0: without either no row is absorbed
+        if (np.count_nonzero(new) == new.size
+                and not np.count_nonzero(new == trials_next)):
             continue
         # x is already aged (x[:, 0] holds the draws): a row is lost when its
         # whole register is zero, that is when it sums to zero (an exact
@@ -286,7 +298,57 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
                 weights = weights.compress(keep, axis=0)
             elif regime == "slow" and isinstance(xi, np.ndarray):
                 xi, trials_next = xi.compress(keep), trials_next.compress(keep)
-    return fixed, lost, x.shape[0]
+
+    # the tail (see the module docstring): the same generation on lists of
+    # Python numbers, one scalar draw per row in row order.  A mature size
+    # shared by every row is repeated, one per row is a list
+    rows, b = x.tolist(), b.tolist()
+    bw = b_rest = b[1:]
+    per_row = isinstance(trials_next, np.ndarray)  # the reflected walk
+    if per_row:
+        trials_next = trials_next.tolist()
+    else:
+        trials_now = trials_next = itertools.repeat(trials_next)
+    if regime == "fast":
+        weights, table = weights.tolist(), table.tolist()
+        low, high = fenv.cuts.tolist()
+    draw = gen_rng.binomial
+    for _ in range(generations):
+        if not rows:
+            break
+        if regime == "slow":
+            trials_now = trials_next
+            xi = env.step(xi, env_rng)
+            trials_next = _mature_size(xi, n_pop)
+            trials_next = (trials_next.tolist() if per_row else
+                           itertools.repeat(trials_next))
+        elif regime == "fast":
+            for w, u in zip(weights, env_rng.random(len(rows)).tolist()):
+                # u's mark class: fenv.mark_class(u), cut at p and 2p
+                w.insert(0, table[(low <= u) + (high <= u)])
+                w.pop()
+            w0 = [w[0] for w in weights]
+            bw = [list(map(operator.mul, b_rest, w[1:])) for w in weights]
+
+        probs = _transition_probs(rows, b, trials_now, w0, bw)
+        kept = []
+        for i, (row, n, q) in enumerate(zip(rows, trials_next, probs)):
+            new = draw(n, q)
+            if new == n:
+                fixed += 1
+            elif not new and not any(row[:-1]):
+                lost += 1
+            else:
+                row.insert(0, new)
+                row.pop()
+                kept.append(i)
+        if len(kept) < len(rows):
+            rows = [rows[i] for i in kept]
+            if regime == "fast":
+                weights = [weights[i] for i in kept]
+            elif per_row:
+                xi, trials_next = xi[kept], [trials_next[i] for i in kept]
+    return fixed, lost, len(rows)
 
 
 def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,

@@ -281,6 +281,27 @@ def test_mc_compare_refuses_before_simulating(tmp_path, monkeypatch, capsys):
     assert "K = 1" in capsys.readouterr().err
 
 
+def test_mc_compare_box_without_the_start_refuses_before_predicting(
+        tmp_path, monkeypatch, capsys):
+    # the slow regime starts at xi = 1: a box that excludes it exits 2 naming
+    # the flags, before the PDE prediction (it once ran the prediction and
+    # then named run_fixation's xi0, which the CLI does not have)
+    def never(*args, **kwargs):
+        raise AssertionError("prediction or simulation called")
+
+    monkeypatch.setattr(cli, "kolmogorov_fixation", never)
+    monkeypatch.setattr(cli, "run_fixation", never)
+    for box in (["--xi-inf", "0.8", "--xi-min", "0.5", "--xi-max", "0.9"],
+                ["--xi-inf", "1.5", "--xi-min", "1.1", "--xi-max", "2"]):
+        rc, out = run(tmp_path, "mc.json", [
+            "mc-compare", "--regime", "slow", "--b", "0.5,0.5", "--N", "300",
+            "--start", "0.2", "--replicates", "4000", *box])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: --xi-min ") and "--xi-max" in err
+        assert "xi = 1" in err
+
+
 def test_reduce(tmp_path):
     spec = json.dumps({"tag": "constant", "b": [0.5, 0.5], "x0": 0.3})
     rc, out = run(tmp_path, "reduce.json", ["reduce", "--spec", spec])

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from seedbank import FastEnvSpec, validate_distribution
+from seedbank import FastEnvSpec, validate_distribution, wf_simulators
 from seedbank.diffusion_limits import logistic_xi
 from seedbank.errors import BoundaryConditionViolated, ValidationError
 from seedbank.wf_simulators import (
-    SCALAR_ROWS,
+    TAIL_ROWS,
     EnvProcess,
-    _binomial,
+    _block_rng,
     _mature_size,
+    _run_block,
     make_env_process,
     run_fixation,
 )
@@ -504,7 +505,7 @@ def test_mark_classes_and_weight_table_match_the_mark_law(p):
 
 
 def test_scalar_and_array_binomial_draws_agree():
-    # the small-block path draws row by row with scalar arguments; numpy runs
+    # the tail of a block draws row by row with scalar arguments; numpy runs
     # the same routine on the same stream for scalar and array arguments
     p = np.array([0.0, 1.0, 1e-300, 0.3, 0.5, 0.5000001, 0.97, 1.0 - 1e-16, 0.0, 1.0])
     n_rows = np.array([0, 7, 60, 60, 3, 1000, 60, 5, 9, 200], dtype=np.int64)
@@ -514,12 +515,6 @@ def test_scalar_and_array_binomial_draws_agree():
         scalar_draws = [gen.binomial(m, q)
                         for m, q in zip(np.broadcast_to(n, p.shape).tolist(), p.tolist())]
         np.testing.assert_array_equal(array_draws, scalar_draws)
-        # both paths of the kernel's draw helper
-        assert 2 <= SCALAR_ROWS < p.size
-        for rows in (2, p.size):
-            np.testing.assert_array_equal(
-                _binomial(_philox(8), n if np.ndim(n) == 0 else n[:rows], p[:rows]),
-                array_draws[:rows])
 
 
 @pytest.mark.parametrize("b", [[0.6, 0.4], DEEP_B])
@@ -556,6 +551,101 @@ def test_step_block_equals_rows_from_one_stream(b):
     np.testing.assert_array_equal(block, rows)
     # each row's register is aged as the block's rows are
     np.testing.assert_array_equal(weights, block_weights)
+
+
+def loop_run_block(regime, d, n_pop, start_count, block_size, seed, block_index,
+                   max_generations, env=None, fenv=None, xi0=1.0):
+    """One replicate block with every generation on arrays of the live rows
+    (the reference for the Python-number tail).  Returns the (fixed, lost,
+    censored) counts and, per generation, the registers and the success
+    probabilities of the draws."""
+    gen_rng = _block_rng(seed, block_index, 0)  # the genetic channel
+    env_rng = _block_rng(seed, block_index, 1)  # the environment channel
+    b = d.array
+    x = np.full((block_size, d.k + 1), float(start_count))
+    trials_next = np.full(block_size, n_pop)
+    xi = np.full(block_size, float(xi0))
+    weights = np.ones((block_size, d.k + 1))
+    seen = []
+    fixed = lost = 0
+    for _ in range(max_generations):
+        if not len(x):
+            break
+        trials_now = trials_next
+        if regime == "slow":
+            xi = env.step(xi, env_rng)
+            trials_next = np.floor(xi * n_pop).astype(np.int64)
+        elif regime == "fast":
+            fresh = 1.0 + fenv.s_of_N(n_pop) * fenv.sample_marks(env_rng, len(x))
+            weights = np.hstack([fresh[:, None], weights[:, :-1]])
+        x0, wild = x[:, 0], trials_now - x[:, 0]
+        if regime == "fast":
+            w0 = weights[:, 0]
+            dormant = np.einsum("rk,rk->r", x[:, 1:], b[1:] * weights[:, 1:])
+            p = (b[0] * w0 * x0 + dormant) / ((wild + b[0] * x0) * w0 + dormant)
+        else:
+            dormant = np.einsum("rk,k->r", x[:, 1:], b[1:])
+            p = (b[0] * x0 + dormant) / (wild + b[0] * x0 + dormant)
+        seen.append((x.tolist(), p.tolist()))
+        new = gen_rng.binomial(trials_next, p)
+        x = np.hstack([new[:, None].astype(float), x[:, :-1]])
+        hit_fixed, hit_lost = new == trials_next, ~x.any(axis=1)
+        fixed += int(hit_fixed.sum())
+        lost += int(hit_lost.sum())
+        keep = ~(hit_fixed | hit_lost)
+        x, weights, xi, trials_next = x[keep], weights[keep], xi[keep], trials_next[keep]
+    return (fixed, lost, len(x)), seen
+
+
+def recorded_run_block(monkeypatch, *args, **kwargs):
+    """``_run_block``'s counts and, per generation, the registers and the
+    success probabilities that ``_transition_probs`` saw and gave."""
+    seen = []
+    probs = wf_simulators._transition_probs
+
+    def recording(x, *rest):
+        p = probs(x, *rest)
+        seen.append((np.array(x).tolist(), np.asarray(p).tolist()))
+        return p
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wf_simulators, "_transition_probs", recording)
+        return _run_block(*args, **kwargs), seen
+
+
+_TAIL_ENVS = {
+    "constant": {},
+    "slow-logistic": {"env": make_env_process("deterministic_logistic", 0.5, 2.0, 30,
+                                              r=2.0, xi_inf=0.8)},
+    "slow-reflected-walk": {"env": make_env_process(
+        "reflected_walk", 0.5, 2.0, 30, alpha=lambda x: 1.0 - x,
+        eta=lambda x: 0.5 * (x - 0.5) * (2.0 - x))},
+    "fast": {"fenv": FastEnvSpec(p=0.25, s=1.0)},
+}
+_TAIL_BANKS = {1: [0.6, 0.4], 2: [0.5, 0.3, 0.2], 3: [0.5, 0.2, 0.2, 0.1], 5: DEEP_B}
+
+
+@pytest.mark.parametrize("k", list(_TAIL_BANKS))
+@pytest.mark.parametrize("name", list(_TAIL_ENVS))
+def test_run_fixation_tail_matches_array_loop(monkeypatch, name, k):
+    # once TAIL_ROWS or fewer rows are live a block steps them as Python
+    # numbers: every register and probability, and so the counts, bit for bit
+    # those of the array loop, from below, at and above the threshold,
+    # absorbed or censored (also inside the tail), over two seeds
+    d = validate_distribution(_TAIL_BANKS[k])
+    regime = name.split("-")[0]
+    extra = dict(_TAIL_ENVS[name], xi0=1.0)
+    counts = []
+    for seed in (1, 2):
+        for rows in (1, TAIL_ROWS, TAIL_ROWS + 1, 200):
+            for max_generations in (10**6, 25):
+                args = (regime, d, 30, 6, rows, seed, 3, max_generations)
+                got = recorded_run_block(monkeypatch, *args, **extra)
+                assert got == loop_run_block(*args, **extra)
+                counts.append(got[0])
+    # some runs end censored inside the tail, and some absorb every row
+    assert any(0 < censored <= TAIL_ROWS for _, _, censored in counts)
+    assert any(censored == 0 for _, _, censored in counts)
 
 
 def test_fixation_estimate_to_dict():
