@@ -19,7 +19,6 @@ from .manifold_reduction import (
     fd_jacobian,
     null_eigenpair,
     phi0_derivatives,
-    project_to_manifold,
     projections,
     reduce_point,
     solve_theta,
@@ -41,24 +40,13 @@ from .seedbank_flows import (
     jacobian_on_gamma,
     manifold_chart,
     theta_fast_closed_k1,
-    theta_g_closed,
 )
-from .branching_phase import (
-    BranchingSpec,
-    conditional_tail,
-    frobenius_eigenvectors,
-    mean_matrix,
-    psi,
-    simulate_branching,
-    survival_constant,
-)
+from .branching_phase import psi
 from .diffusion_limits import (
     SdeSpec,
     g_function,
     kolmogorov_fixation,
-    psi_cap,
     sample_absorption,
-    scale_closed_form,
     scale_fixation,
     sde_constant,
 )

@@ -111,6 +111,8 @@ def cmd_drift_surface(args):
 def cmd_fixation_heatmap(args):
     check_positive_int("--grid", args.grid)
     y = args.y
+    if not 0.0 <= y <= 1.0:
+        raise ValidationError(f"--y must lie in [0, 1], got {y!r}")
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # include the b0 = 1 edge
     qs = np.linspace(0.0, 1.0, args.grid)
     # one bank per (b0, q), b0 outermost
@@ -126,6 +128,9 @@ def cmd_fixation_heatmap(args):
 
 def cmd_fixation_vs_b0(args):
     check_positive_int("--steps", args.steps)
+    # the march starts at psi_B(y), and psi_0(y) = y: b0 = 1 is on the grid
+    if not 0.0 < args.y < 1.0:
+        raise ValidationError(f"--y must lie in (0, 1), got {args.y!r}")
     xi_infs = _parse_floats(args.xi_inf, "--xi-inf")
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
     banks = Banks(np.stack([b0s, 1.0 - b0s], axis=1))

@@ -7,7 +7,8 @@ solver's coefficients and g share one set of slow-regime factors.
 ``sde_constant`` is kept as the one ``SdeSpec`` view of a pair, the form the
 benchmark reads.  Also an Euler-Maruyama absorption sampler for 1-D pairs,
 scale-function fixation probabilities for autonomous 1-D diffusions, the
-closed-form fixation bound Psi(B, y), the sign diagnostic g for stochastic
+bounding diffusion's closed-form fixation probability (the fixation
+heatmap's bound Psi(B, y) at psi_B(y)), the sign diagnostic g for stochastic
 population-size fluctuations, and a Crank-Nicolson backward Kolmogorov solver
 for the non-autonomous logistic-environment fixation probability.
 """
@@ -19,7 +20,6 @@ from collections import namedtuple
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .branching_phase import psi
 from .core_model import check_positive_int, check_seed
 from .errors import (
     DegenerateDiffusion,
@@ -35,7 +35,8 @@ from .seedbank_flows import drift_factor_fn, h_function
 
 # drift/diffusion coefficients of a limiting diffusion: drift(y) returns a
 # (dim,) vector and diffusion(y) a (dim, n_noise) matrix, one column per
-# independent Brownian motion
+# independent Brownian motion; no subcommand uses it: perfbench imports it
+# (ROADMAP item 6)
 SdeSpec = namedtuple("SdeSpec", ["drift", "diffusion"])
 
 
@@ -90,7 +91,8 @@ def fast_coefficients_vec(d, fenv):
 
 def sde_constant(d):
     """Limiting 1-D diffusion of the constant-environment model, as an
-    ``SdeSpec`` of 1-element state arrays."""
+    ``SdeSpec`` of 1-element state arrays.  No subcommand runs it: perfbench
+    imports it (ROADMAP item 6)."""
     drift_vec, diff_vec = constant_coefficients_vec(d)
     return SdeSpec(drift=lambda y: np.array([drift_vec(y[0])]),
                    diffusion=lambda y: np.array([[diff_vec(y[0])]]))
@@ -113,7 +115,8 @@ def _slow_factors(big_b, rho, phi2):
 def slow_coefficients_vec(d, env):
     """Drift and diffusion of the slow environment's coupled diffusion in the
     proportion form, as callables of (rho0, xi), scalars or arrays of one
-    shape; rho0 is clamped into [0, 1].
+    shape; rho0 is clamped into [0, 1].  No subcommand runs it yet: it is
+    the pair of ROADMAP item 16's deterministic solve.
 
     ``drift(rho0, xi)`` returns (mu_rho, alpha(xi)) with
     mu_rho = (selection - pull alpha)/xi + eta^2 (pull + Ito)/xi^2, and
@@ -158,7 +161,8 @@ TAIL_REPLICATES = 3
 
 
 def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
-    """Vectorized absorption sampling for a 1-D diffusion on [0, 1].
+    """Vectorized absorption sampling for a 1-D diffusion on [0, 1].  No
+    subcommand runs it: perfbench imports it (ROADMAP item 6).
 
     ``drift_vec`` and ``diff_vec`` map an array of states to arrays of
     coefficients.  A replicate is lost below 1e-9 and fixed above 1 - 1e-9,
@@ -416,17 +420,6 @@ def _bounding_fixation(big_b, v):
     e = np.exp(-np.asarray(big_b, dtype=float) * v)
     out = 1.0 - e + v * e
     return out.item() if np.ndim(out) == 0 else out
-
-
-def scale_closed_form(big_b, v):
-    """Closed-form scale function of the bounding diffusion,
-    S(v) = (1 - e^{-Bv} + v e^{-Bv})/(B + 1)."""
-    return _bounding_fixation(big_b, np.asarray(v, dtype=float)) / (big_b + 1.0)
-
-
-def psi_cap(big_b, y):
-    """Fixation-probability bound Psi(B, y) = 1 - e^{-B psi} + psi e^{-B psi}."""
-    return _bounding_fixation(big_b, psi(big_b, y))
 
 
 def g_function(d, rho0, xi):

@@ -88,7 +88,3 @@ class NoConvergence(NumericalError):
 
 class DegenerateDiffusion(NumericalError):
     """A diffusion coefficient vanishes in the interior of the domain."""
-
-
-class BudgetExceeded(NumericalError):
-    """A Monte Carlo run exceeded its particle-step budget."""

@@ -8,10 +8,14 @@ with the remaining spectrum strictly stable, this module computes:
 * the curvature matrix Theta of the nonlinear stable manifold, obtained as the
   unique symmetric solution of the semistable Lyapunov equation
   J^T Theta + Theta J = P_s^T (sum_i v_i Hess F_i) P_s  with  Theta u = 0,
+* the curvature matrix by its integral formula, a quadrature oracle for the
+  Lyapunov solve, and
 * the first and second derivatives of the projection map Phi_0 (the
   infinite-time limit of the flow), via the Lyapunov-Schmidt / Parsons-Rogers
-  style formulas, and
-* Phi itself by direct ODE integration, used as an independent oracle.
+  style formulas.
+
+Phi itself, by direct ODE integration, is a test reference in
+``tests/oracles.py``.
 """
 
 import functools
@@ -22,7 +26,6 @@ import numpy as np
 from .errors import (
     DomainViolation,
     MultipleNullEigenvalues,
-    NoConvergence,
     NoNullEigenvalue,
     SingularSystem,
     SpectrumViolation,
@@ -36,9 +39,6 @@ NULL_TOL = 1e-8
 # theta_integral's first horizon and Simpson step
 THETA_T_MAX = 20.0
 THETA_QUAD_STEP = 0.005
-# project_to_manifold's integration chunk and chunk budget
-PROJECT_CHUNK_T = 50.0
-PROJECT_MAX_CHUNKS = 200
 
 
 def fd_jacobian(func, x):
@@ -317,7 +317,7 @@ def theta_integral(j, hessians, v, p_s):
     ``THETA_QUAD_STEP``, propagating e^{J t} by repeated multiplication with
     one precomputed step exponential.  The horizon starts at ``THETA_T_MAX``
     and is doubled until the integrand's max-norm at the endpoint drops below
-    1e-12.
+    1e-12.  No subcommand runs it: perfbench imports it (ROADMAP item 6).
     """
     from scipy.linalg import expm  # deferred: scipy.linalg is slow to import
 
@@ -386,33 +386,6 @@ def phi0_derivatives(chart, x0, v_fn, theta, v_prime_fn=None):
     # theta's upper triangle only, mirrored
     upper = np.triu(np.ones(full.shape, dtype=bool))
     return grad, np.where(upper, full, full.T)
-
-
-def project_to_manifold(flow, x, tol=1e-10):
-    """Infinite-time limit of the flow from x, by adaptive ODE integration.
-
-    Integrates in chunks of ``PROJECT_CHUNK_T`` until the field's norm at the
-    endpoint drops below ``tol``, at most ``PROJECT_MAX_CHUNKS`` of them.
-    """
-    from scipy.integrate import solve_ivp  # deferred: slow to import
-
-    y = np.asarray(x, dtype=float)
-    flow._check_domain(y)
-    for _ in range(PROJECT_MAX_CHUNKS):
-        if np.linalg.norm(flow.func(y)) < tol:
-            return y
-        sol = solve_ivp(
-            lambda t, z: flow.func(z),
-            (0.0, PROJECT_CHUNK_T),
-            y,
-            method="RK45",
-            rtol=1e-11,
-            atol=1e-13,
-        )
-        if not sol.success:
-            raise NoConvergence(f"ODE integration failed: {sol.message}")
-        y = sol.y[:, -1]
-    raise NoConvergence(f"field norm {np.linalg.norm(flow.func(y))} > {tol} after budget")
 
 
 @dataclass

@@ -5,7 +5,8 @@ the same mutant frequency":
 
 * ``constant`` — the drift field of the constant-environment model (dim K+1),
 * ``linearized`` — the same field with the rational denominator dropped
-  (dim K+1); its curvature matrix has a simple closed form used as an oracle,
+  (dim K+1); its curvature matrix has a simple closed form, a test reference
+  in ``tests/oracles.py``,
 * ``slow_env`` — the field coupled to a population-size variable xi (dim K+2),
 * ``fast_env`` — the field augmented with the last K environment marks
   (dim 2K+1).
@@ -174,7 +175,8 @@ def jacobian_on_gamma(kind, x0):
 
 
 def eigvecs_on_gamma(kind, x0):
-    """Closed-form null eigenvectors (u, v) on the manifold, with <u, v> = 1."""
+    """Closed-form null eigenvectors (u, v) on the manifold, with <u, v> = 1.
+    No subcommand runs it: perfbench imports it (ROADMAP item 6)."""
     d = kind.d
     k = d.k
     tails = tail_sums(d)
@@ -191,21 +193,6 @@ def eigvecs_on_gamma(kind, x0):
         ) / den
         return u, v
     raise UnsupportedK("no closed-form manifold eigenvectors for the slow_env flow")
-
-
-def left_eigvec_prime(kind, x0):
-    """Analytic derivative of v along the manifold chart (w.r.t. x0)."""
-    d = kind.d
-    tails = tail_sums(d)
-    big_b = d.mean_time
-    den = big_b * (1.0 - x0) + 1.0
-    vp_x = np.concatenate([[big_b], -tails]) / den**2
-    if kind.tag in ("constant", "linearized"):
-        return vp_x
-    if kind.tag == "fast_env":
-        vp_marks = tails * ((1.0 - 2.0 * x0) * den + big_b * x0 * (1.0 - x0)) / den**2
-        return np.concatenate([vp_x, vp_marks])
-    raise UnsupportedK("no closed-form eigenvector derivative for the slow_env flow")
 
 
 def hessians_on_gamma(kind, x0):
@@ -270,20 +257,12 @@ def manifold_chart(kind):
     raise UnsupportedK("the slow_env manifold is two-dimensional; no 1-D chart")
 
 
-def theta_g_closed(d, x0):
-    """Closed-form curvature matrix of the linearized flow."""
-    tails = tail_sums(d)
-    big_b = d.mean_time
-    den = big_b * (1.0 - x0) + 1.0
-    w = np.concatenate([[-big_b], tails])
-    return -np.outer(w, w) * (1.0 - x0) / den**3
-
-
 def delta_matrix(d):
     """The rank-one defect between the full and linearized Hessians.
 
     Hess F0 = Hess G0 + 2 (1 - x0) Delta on the manifold.  Returns the matrix
-    and its spectrum {0 (multiplicity K), -( (1-b0)^2 + sum b_i^2 )}.
+    and its spectrum {0 (multiplicity K), -( (1-b0)^2 + sum b_i^2 )}.  No
+    subcommand runs it: perfbench imports it (ROADMAP item 6).
     """
     b = d.array
     w = np.concatenate([[1.0 - b[0]], -b[1:]])
@@ -334,6 +313,7 @@ def drift_second_derivative(d, x0):
     the oracle path; the diffusion limits use ``batched_drift_fn``, which is
     exact too and much cheaper per point.  ``d`` is one bank; a ``Banks``
     stack raises ``ValidationError`` (``drift_factor_fn`` takes a stack).
+    No subcommand runs it: perfbench wraps it (ROADMAP item 6).
     """
     if np.ndim(d.mean_time):
         raise ValidationError("drift_second_derivative, the per-point oracle, takes "
@@ -471,7 +451,8 @@ def fast_second_derivatives_k1(b0, x0):
     """Mixed second derivatives of the fast-regime projection map at K = 1.
 
     Returns (d2Phi0/dx0 dups0, d2Phi0/dups0^2) evaluated on the manifold.
-    Exact rational functions of q = 1 - b0 and x0.
+    Exact rational functions of q = 1 - b0 and x0.  No subcommand runs it:
+    ROADMAP item 8 moves it once the engine gives h at every K.
     """
     return (_fast_x_ups_k1(b0, x0),
             x0 * (1.0 - x0) * _fast_ups_ups_reduced_k1(b0, x0))
@@ -525,6 +506,8 @@ def theta_fast_closed_k1(b0, x0):
 
     Returns (theta_x0_ups0, theta_ups0_ups0); the frequency-frequency block of
     the fast curvature matrix coincides with the constant-environment one.
+    No subcommand runs it: ROADMAP item 8 moves it once the engine gives h at
+    every K.
     """
     q = 1.0 - b0
     x = x0

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from seedbank import (
-    BranchingSpec,
     FastEnvSpec,
     FlowKind,
     build_flow,
@@ -34,24 +33,27 @@ from seedbank import (
     jacobian_on_gamma,
     kolmogorov_fixation,
     manifold_chart,
-    mean_matrix,
     phi0_derivatives,
-    project_to_manifold,
     projections,
     psi,
-    psi_cap,
-    scale_closed_form,
     scale_fixation,
     sde_constant,
-    simulate_branching,
     solve_theta,
-    theta_g_closed,
     theta_integral,
     validate_distribution,
 )
-from seedbank.seedbank_flows import left_eigvec_prime
 from seedbank.wf_simulators import run_fixation
 from conftest import generation, random_simplex
+from oracles import (
+    BranchingSpec,
+    left_eigvec_prime,
+    mean_matrix,
+    project_to_manifold,
+    psi_cap,
+    scale_closed_form,
+    simulate_branching,
+    theta_g_closed,
+)
 
 
 def test_acceptance_01_theta_closed_form():

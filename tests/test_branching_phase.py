@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from seedbank import (
+from seedbank import psi, validate_distribution
+from seedbank.errors import ValidationError
+from conftest import random_simplex
+from oracles import (
     BranchingSpec,
+    BudgetExceeded,
     conditional_tail,
     frobenius_eigenvectors,
     mean_matrix,
-    psi,
     simulate_branching,
     survival_constant,
-    validate_distribution,
 )
-from seedbank.errors import BudgetExceeded, ValidationError
-from conftest import random_simplex
 
 
 def test_mean_matrix_examples():

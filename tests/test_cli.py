@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 import seedbank
 from seedbank import cli
 from seedbank.cli import _fmt, main
-from seedbank.diffusion_limits import constant_coefficients_vec, psi_cap, scale_fixation
+from seedbank.diffusion_limits import constant_coefficients_vec, scale_fixation
 from seedbank.seedbank_flows import drift_factor_fn
+from oracles import psi_cap
 
 
 def run(tmp_path, name, argv):
@@ -73,7 +75,7 @@ def test_fixation_heatmap(tmp_path):
     assert rc2 == 0 and out.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("y", [0.005, 0.05])
+@pytest.mark.parametrize("y", [0.0, 0.005, 0.05, 1.0])
 def test_fixation_heatmap_rows_equal_per_cell_solves(tmp_path, y):
     # the map's one batched scale solve gives every row byte for byte as the
     # per-cell solve does, on any machine
@@ -435,6 +437,22 @@ def test_bad_bank_exits_2_with_its_message(tmp_path, capsys, b, message):
         rc = main(argv + ["--out", str(out)])
         assert rc == 2 and not out.exists(), argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+BAD_Y = ([("fixation-heatmap", y, "[0, 1]") for y in ("inf", "nan", "-0.1", "1.5")]
+         + [("fixation-vs-b0", y, "(0, 1)") for y in ("0", "1", "nan", "inf")])
+
+
+@pytest.mark.parametrize("subcommand, y, interval", BAD_Y)
+def test_bad_y_exits_2_naming_the_flag(tmp_path, capsys, subcommand, y, interval):
+    # --y is checked before any solve: no output file and no numpy warning
+    out = tmp_path / "bad.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([subcommand, "--y", y, "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert caught == []
+    assert capsys.readouterr().err == f"error: --y must lie in {interval}, got {float(y)!r}\n"
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -14,10 +14,8 @@ from seedbank import (
     h_function,
     kolmogorov_fixation,
     psi,
-    psi_cap,
     run_fixation,
     sample_absorption,
-    scale_closed_form,
     scale_fixation,
     sde_constant,
     validate_distribution,
@@ -47,6 +45,7 @@ from seedbank.errors import (
     ValidationError,
 )
 from conftest import random_simplex, stack
+from oracles import psi_cap, scale_closed_form
 
 
 def bounded_env(xi_min=0.5, xi_max=2.0, eta_amp=0.2):

@@ -17,12 +17,10 @@ from seedbank import (
     manifold_chart,
     null_eigenpair,
     phi0_derivatives,
-    project_to_manifold,
     projections,
     reduce_point,
     solve_theta,
     spectrum_gate,
-    theta_g_closed,
     theta_integral,
     validate_distribution,
 )
@@ -34,8 +32,8 @@ from seedbank.errors import (
     SpectrumViolation,
 )
 from seedbank.manifold_reduction import VPRIME_FD_STEP, lyapunov_rhs
-from seedbank.seedbank_flows import left_eigvec_prime
 from conftest import random_simplex
+from oracles import left_eigvec_prime, project_to_manifold, theta_g_closed
 
 
 def tail_vector(d, x0):

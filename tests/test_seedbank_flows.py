@@ -25,7 +25,6 @@ from seedbank import (
     reduce_point,
     solve_theta,
     theta_fast_closed_k1,
-    theta_g_closed,
     validate_distribution,
 )
 from seedbank import seedbank_flows
@@ -33,8 +32,9 @@ from seedbank.core_model import Banks, GerminationDistribution
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
-from seedbank.seedbank_flows import batched_drift_fn, left_eigvec_prime
+from seedbank.seedbank_flows import batched_drift_fn
 from conftest import random_simplex, stack
+from oracles import left_eigvec_prime, theta_g_closed
 
 
 def slow_spec():
