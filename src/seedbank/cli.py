@@ -87,13 +87,22 @@ def _parse_floats(text, flag):
         raise ValidationError(f"could not parse {flag} value {text!r}") from exc
 
 
+def _check_positive(flag, value):
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{flag} must be positive and finite, got {value!r}")
+
+
+def _check_within(flag, value, low, high):
+    if not low <= value <= high:
+        raise ValidationError(f"{flag} must lie in [{low:g}, {high:g}], got {value!r}")
+
+
 def cmd_psi_curve(args):
     check_positive_int("--steps", args.steps)
     b_values = _parse_floats(args.B, "--B")
     if not all(0.0 <= big_b < math.inf for big_b in b_values):
         raise ValidationError("B values must be non-negative and finite")
-    if not 0.0 < args.ymax < math.inf:
-        raise ValidationError(f"--ymax must be positive and finite, got {args.ymax}")
+    _check_positive("--ymax", args.ymax)
     ys = np.linspace(0.0, args.ymax, args.steps + 1)
     _write_csv(args, "psi-curve", {"B": args.B, "ymax": args.ymax, "steps": args.steps},
                "B,y,psi", (b_values, ys), psi(np.array(b_values)[:, None], ys))
@@ -111,8 +120,7 @@ def cmd_drift_surface(args):
 def cmd_fixation_heatmap(args):
     check_positive_int("--grid", args.grid)
     y = args.y
-    if not 0.0 <= y <= 1.0:
-        raise ValidationError(f"--y must lie in [0, 1], got {y!r}")
+    _check_within("--y", y, 0.0, 1.0)
     b0s = np.linspace(0.0, 1.0, args.grid + 1)[1:]  # include the b0 = 1 edge
     qs = np.linspace(0.0, 1.0, args.grid)
     # one bank per (b0, q), b0 outermost
@@ -131,7 +139,10 @@ def cmd_fixation_vs_b0(args):
     # the march starts at psi_B(y), and psi_0(y) = y: b0 = 1 is on the grid
     if not 0.0 < args.y < 1.0:
         raise ValidationError(f"--y must lie in (0, 1), got {args.y!r}")
+    _check_positive("--r", args.r)
     xi_infs = _parse_floats(args.xi_inf, "--xi-inf")
+    for xi_inf in xi_infs:
+        _check_positive("--xi-inf", xi_inf)
     b0s = np.linspace(0.0, 1.0, args.steps + 1)[1:]
     banks = Banks(np.stack([b0s, 1.0 - b0s], axis=1))
     starts = psi(banks.mean_time, args.y)
@@ -176,6 +187,15 @@ def cmd_h_contour(args):
 
 def cmd_mc_compare(args):
     d = validate_distribution(_parse_floats(args.b, "--b"))
+    check_positive_int("--N", args.N)
+    _check_within("--start", args.start, 0.0, 1.0)
+    if args.regime == "slow":
+        # the prediction's logistic environment needs both positive
+        _check_positive("--r", args.r)
+        _check_positive("--xi-inf", args.xi_inf)
+    elif args.regime == "fast":
+        _check_within("--p", args.p, 0.0, 0.5)
+        _check_positive("--s", args.s)
     env = fenv = None
     # the prediction first: a regime it does not cover (the fast one at K >= 2)
     # fails before the Monte Carlo runs

@@ -14,7 +14,13 @@ nothing, so every replicate sees the same xi path and the block advances one
 Python float (and the mature sizes as Python ints); under the reflected walk
 each replicate follows its own path, one xi per row; the fast regime keeps
 per row the weights of the fresh and the last K marks, looked up in the
-three-entry table 1 + s_N * mark.  Its counts are one float64 (R, K+1) array,
+three-entry table 1 + s_N * mark.  The fast regime draws its environment
+uniforms ``ENV_CHUNK`` at a time, classifies each chunk once, and hands every
+generation (array or tail) its next R weights from that one stream:
+``Generator.random(n)`` fills n doubles in stream order, so the i-th weight
+is the i-th uniform's, as with a draw per generation, and the environment
+stream, dropped with its block, never feeds the genetic one.  Its counts are
+one float64 (R, K+1) array,
 exact because counts stay far below 2**53, aged in place every generation; the
 binomial draw is the only integer array.  A row is fixed only on a draw of
 all its trials and lost only on a draw of 0, so the absorption test runs only
@@ -55,6 +61,11 @@ BLOCK_SIZE = 4096
 # rows (constant, fast and K = 5; the logistic slow regime breaks even at
 # 16-19), and 1.05-1.21 at 12-13
 TAIL_ROWS = 10
+# environment uniforms a fast-regime block draws and classifies at a time
+# (see the module docstring).  Handing out the weights of 512 rows decaying
+# to 11 over 600 generations cost 20-22 ns a weight at 1,024-16,384 (least
+# at 8,192; 45 at 256, 25 at 65,536) against 52 for a draw per generation
+ENV_CHUNK = 8192
 _GEN_CHANNEL = 0
 _ENV_CHANNEL = 1
 
@@ -81,6 +92,25 @@ def _probability(b0, x0, wild, w0, dormant):
     return num
 
 
+class _WeightStream:
+    """The fast regime's environment weights of one block, in the order of
+    the uniforms they come from: ``ENV_CHUNK`` uniforms at a time are drawn
+    from ``rng``, classified by ``fenv.mark_class`` and looked up in
+    ``table``."""
+
+    def __init__(self, fenv, table, rng):
+        self._fenv, self._table, self._rng = fenv, table, rng
+        self._buf, self._pos = np.empty(0), 0
+
+    def take(self, n):
+        """The next ``n`` weights, as an array."""
+        while self._pos + n > len(self._buf):
+            fresh = self._table.take(self._fenv.mark_class(self._rng.random(ENV_CHUNK)))
+            self._buf, self._pos = np.concatenate((self._buf[self._pos:], fresh)), 0
+        self._pos += n
+        return self._buf[self._pos - n:self._pos]
+
+
 def _transition_probs(x, b, trials_now, w0, bw):
     """Success probability of the next-generation binomial draw.
 
@@ -91,7 +121,9 @@ def _transition_probs(x, b, trials_now, w0, bw):
     the weights ``w`` of the dormant generations, shape (K,) when every row
     shares them (made once per block by the caller) and (R, K) when each row
     has its own.  All regimes go through this one expression so that
-    degenerate parameters give bit-identical probabilities.
+    degenerate parameters give bit-identical probabilities.  At K = 1 the
+    dormant sum is the one product ``x[:, 1] * bw``, which equals a one-term
+    ``einsum`` exactly; deeper banks sum with ``einsum``.
 
     In the tail of a block (see the module docstring) the same arguments come
     as Python lists and numbers: ``x`` a list of R registers, ``b`` a list,
@@ -104,9 +136,11 @@ def _transition_probs(x, b, trials_now, w0, bw):
     is given, so the tail comes through here as well.)
     """
     if type(x) is not list:
-        spec = "rk,k->r" if bw.ndim == 1 else "rk,rk->r"
-        return _probability(b[0], x[:, 0], trials_now - x[:, 0], w0,
-                            np.einsum(spec, x[:, 1:], bw))
+        if x.shape[1] == 2:
+            dormant = x[:, 1] * bw[..., 0]
+        else:
+            dormant = np.einsum("rk,k->r" if bw.ndim == 1 else "rk,rk->r", x[:, 1:], bw)
+        return _probability(b[0], x[:, 0], trials_now - x[:, 0], w0, dormant)
     b0 = b[0]
     shared = w0 is None
     ws = itertools.repeat(None) if shared else w0
@@ -249,7 +283,8 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     ones = np.ones(d.k + 1)
     trials_now = trials_next = n_pop
     # environment weights: all 1 (so b[1:] * w is b[1:]) but in the fast regime
-    w0, bw = None, b[1:]
+    b_rest = b[1:]
+    w0, bw = None, b_rest
     # the environment (see the module docstring): xi and floor(xi N) in the
     # slow regime, per row only under reflected_walk; in the fast regime the
     # weights of the fresh and the last K marks per row (mark 0 before the
@@ -261,7 +296,7 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
         trials_next = _mature_size(xi, n_pop)
     elif regime == "fast":
         weights = np.ones((block_size, d.k + 1))
-        table = 1.0 + fenv.s_of_N(n_pop) * fenv.MARKS
+        stream = _WeightStream(fenv, 1.0 + fenv.s_of_N(n_pop) * fenv.MARKS, env_rng)
     fixed = lost = 0
     generations = max_generations  # left to run
 
@@ -273,8 +308,8 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             xi = env.step(xi, env_rng)
             trials_next = _mature_size(xi, n_pop)
         elif regime == "fast":
-            _age(weights, table.take(fenv.mark_class(env_rng.random(x.shape[0]))))
-            w0, bw = weights[:, 0], b[1:] * weights[:, 1:]
+            _age(weights, stream.take(x.shape[0]))
+            w0, bw = weights[:, 0], b_rest * weights[:, 1:]
 
         new = _generation(x, b, trials_now, trials_next, w0, bw, gen_rng)
         # a row is fixed only on a draw of all trials and lost only on a draw
@@ -310,8 +345,7 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
     else:
         trials_now = trials_next = itertools.repeat(trials_next)
     if regime == "fast":
-        weights, table = weights.tolist(), table.tolist()
-        low, high = fenv.cuts.tolist()
+        weights = weights.tolist()
     draw = gen_rng.binomial
     for _ in range(generations):
         if not rows:
@@ -323,9 +357,8 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
             trials_next = (trials_next.tolist() if per_row else
                            itertools.repeat(trials_next))
         elif regime == "fast":
-            for w, u in zip(weights, env_rng.random(len(rows)).tolist()):
-                # u's mark class: fenv.mark_class(u), cut at p and 2p
-                w.insert(0, table[(low <= u) + (high <= u)])
+            for w, fresh in zip(weights, stream.take(len(rows)).tolist()):
+                w.insert(0, fresh)
                 w.pop()
             w0 = [w[0] for w in weights]
             bw = [list(map(operator.mul, b_rest, w[1:])) for w in weights]

@@ -355,6 +355,31 @@ def test_exit_codes(tmp_path, capsys):
         assert rc == 2, bad
         assert not (tmp_path / "mc.json").exists()
         assert capsys.readouterr().err.startswith("error: "), bad
+    # a value out of its flag's range is refused before any solve or
+    # simulation, naming the flag (these once gave the library's messages:
+    # "start must lie in [0, 1]", "n_pop must be ...", "alpha(xi_min) must be
+    # >= 0", "logistic parameters r and xi_inf must be ..."), with no numpy
+    # warning
+    mc = ["mc-compare", "--b", "0.5,0.5", "--N", "50", "--start", "0.2",
+          "--replicates", "200", "--regime"]
+    vs_b0 = ["fixation-vs-b0", "--steps", "2", "--xi-inf", "0.8"]
+    for bad, message in (
+            (mc + ["constant", "--start", "1.5"], "--start must lie in [0, 1], got 1.5"),
+            (mc + ["slow", "--start", "nan"], "--start must lie in [0, 1], got nan"),
+            (mc + ["constant", "--N", "0"], "--N must be a positive integer, got 0"),
+            (mc + ["slow", "--r", "-1"], "--r must be positive and finite, got -1.0"),
+            (mc + ["slow", "--xi-inf", "nan"], "--xi-inf must be positive and finite, got nan"),
+            (mc + ["fast", "--p", "0.7"], "--p must lie in [0, 0.5], got 0.7"),
+            (mc + ["fast", "--s", "-1"], "--s must be positive and finite, got -1.0"),
+            (vs_b0 + ["--r", "-1"], "--r must be positive and finite, got -1.0"),
+            (vs_b0 + ["--r", "nan"], "--r must be positive and finite, got nan"),
+            (vs_b0 + ["--xi-inf", "0.8,nan"], "--xi-inf must be positive and finite, got nan")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(bad + ["--out", str(tmp_path / "range.out")])
+        assert rc == 2 and not (tmp_path / "range.out").exists(), bad
+        assert caught == [], bad
+        assert capsys.readouterr().err == f"error: {message}\n", bad
 
     rc = main(["psi-curve", "--B", "0,-1", "--out", str(tmp_path / "bad.csv")])
     assert rc == 2

@@ -625,6 +625,25 @@ _TAIL_ENVS = {
 _TAIL_BANKS = {1: [0.6, 0.4], 2: [0.5, 0.3, 0.2], 3: [0.5, 0.2, 0.2, 0.1], 5: DEEP_B}
 
 
+def runs_match_array_loop(monkeypatch, name, k):
+    """``_run_block`` against ``loop_run_block`` from below, at and above
+    ``TAIL_ROWS``, run to absorption and censored, over two seeds: asserts
+    that every run's counts, registers and probabilities are equal and
+    returns the runs."""
+    d = validate_distribution(_TAIL_BANKS[k])
+    regime = name.split("-")[0]
+    extra = dict(_TAIL_ENVS[name], xi0=1.0)
+    runs = []
+    for seed in (1, 2):
+        for rows in (1, TAIL_ROWS, TAIL_ROWS + 1, 200):
+            for max_generations in (10**6, 25):
+                args = (regime, d, 30, 6, rows, seed, 3, max_generations)
+                got = recorded_run_block(monkeypatch, *args, **extra)
+                assert got == loop_run_block(*args, **extra)
+                runs.append(got)
+    return runs
+
+
 @pytest.mark.parametrize("k", list(_TAIL_BANKS))
 @pytest.mark.parametrize("name", list(_TAIL_ENVS))
 def test_run_fixation_tail_matches_array_loop(monkeypatch, name, k):
@@ -632,20 +651,30 @@ def test_run_fixation_tail_matches_array_loop(monkeypatch, name, k):
     # numbers: every register and probability, and so the counts, bit for bit
     # those of the array loop, from below, at and above the threshold,
     # absorbed or censored (also inside the tail), over two seeds
-    d = validate_distribution(_TAIL_BANKS[k])
-    regime = name.split("-")[0]
-    extra = dict(_TAIL_ENVS[name], xi0=1.0)
-    counts = []
-    for seed in (1, 2):
-        for rows in (1, TAIL_ROWS, TAIL_ROWS + 1, 200):
-            for max_generations in (10**6, 25):
-                args = (regime, d, 30, 6, rows, seed, 3, max_generations)
-                got = recorded_run_block(monkeypatch, *args, **extra)
-                assert got == loop_run_block(*args, **extra)
-                counts.append(got[0])
+    counts = [got[0] for got in runs_match_array_loop(monkeypatch, name, k)]
     # some runs end censored inside the tail, and some absorb every row
     assert any(0 < censored <= TAIL_ROWS for _, _, censored in counts)
     assert any(censored == 0 for _, _, censored in counts)
+
+
+@pytest.mark.parametrize("chunk", [3, 7])
+@pytest.mark.parametrize("k", list(_TAIL_BANKS))
+def test_fast_weight_stream_refills_inside_generations(monkeypatch, k, chunk):
+    # the fast regime draws its environment uniforms ENV_CHUNK at a time and
+    # hands each generation its next weights; loop_run_block draws them per
+    # generation.  With a few uniforms per chunk, refills fall inside the
+    # draws of array and tail generations alike, and every register and
+    # probability must still be the loop's
+    monkeypatch.setattr(wf_simulators, "ENV_CHUNK", chunk)
+    split = {"array": False, "tail": False}
+    for _, seen in runs_match_array_loop(monkeypatch, "fast", k):
+        drawn = 0  # weights handed out before each generation
+        for registers, _ in seen:
+            rows = len(registers)
+            if drawn % chunk + rows > chunk:
+                split["tail" if rows <= TAIL_ROWS else "array"] = True
+            drawn += rows
+    assert split == {"array": True, "tail": True}
 
 
 def test_fixation_estimate_to_dict():
