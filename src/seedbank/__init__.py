@@ -34,12 +34,10 @@ from .seedbank_flows import (
     drift_k2_closed,
     drift_second_derivative,
     eigvecs_on_gamma,
-    fast_second_derivatives_k1,
     h_function,
     hessians_on_gamma,
     jacobian_on_gamma,
     manifold_chart,
-    theta_fast_closed_k1,
 )
 from .branching_phase import psi
 from .diffusion_limits import (

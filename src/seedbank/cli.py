@@ -190,6 +190,10 @@ def cmd_mc_compare(args):
     check_positive_int("--N", args.N)
     _check_within("--start", args.start, 0.0, 1.0)
     if args.regime == "slow":
+        # the Kolmogorov march starts strictly inside (0, 1)
+        if not 0.0 < args.start < 1.0:
+            raise ValidationError(f"--start must lie in (0, 1) in the slow regime, "
+                                  f"got {args.start!r}")
         # the prediction's logistic environment needs both positive
         _check_positive("--r", args.r)
         _check_positive("--xi-inf", args.xi_inf)

@@ -177,15 +177,12 @@ class FastEnvSpec:
 
     p: float
     s: float
-    # (p, 2p): the uniforms that ``mark_class`` cuts at
-    cuts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 0.5:
             raise ValidationError("p must lie in [0, 1/2]")
         if not 0 < self.s < math.inf:
             raise ValidationError(f"s must be positive and finite, got {self.s!r}")
-        object.__setattr__(self, "cuts", np.array([self.p, 2 * self.p], dtype=float))
 
     def s_of_N(self, n):
         """Per-generation selection strength, clipped into [0, 1)."""
@@ -193,8 +190,10 @@ class FastEnvSpec:
 
     def mark_class(self, u):
         """Index into ``MARKS`` of the mark each uniform ``u`` in [0, 1) draws:
-        u < p draws -1, p <= u < 2p draws +1, and the rest 0."""
-        return self.cuts.searchsorted(u, "right")
+        u < p draws -1, p <= u < 2p draws +1, and the rest 0.  The class is
+        the number of the cuts p and 2p at or below u, added as integers (a
+        plain ``+`` of two boolean arrays would be their logical or)."""
+        return np.add(self.p <= u, 2 * self.p <= u, dtype=np.intp)
 
     def sample_marks(self, rng, size=None):
         """Draw marks from the three-point law {-1, 0, +1}."""

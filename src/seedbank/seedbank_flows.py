@@ -14,9 +14,11 @@ the same mutant frequency":
 Alongside the generic engine interface (build_flow + closed Jacobians,
 eigenvectors and Hessians on the manifold), this module exposes the headline
 scalar quantities: the second derivative of the projection map (the diffusion
-drift factor), its closed K=1 and K=2 forms and upper bound, the fast-regime
-mixed second derivatives for K=1, the extra-drift function h, and
-``drift_factor_fn``, which picks the drift factor of every diffusion limit.
+drift factor), its closed K=1 and K=2 forms and upper bound, the fast
+environment's extra-drift function h at K=1 as one reduced rational function
+(the fast-regime second derivatives it is assembled from are test references
+in ``tests/oracles.py``), and ``drift_factor_fn``, which picks the drift
+factor of every diffusion limit.
 """
 
 import functools
@@ -447,103 +449,23 @@ def drift_factor_fn(d):
     return batched_drift_fn(d)
 
 
-def fast_second_derivatives_k1(b0, x0):
-    """Mixed second derivatives of the fast-regime projection map at K = 1.
-
-    Returns (d2Phi0/dx0 dups0, d2Phi0/dups0^2) evaluated on the manifold.
-    Exact rational functions of q = 1 - b0 and x0.  No subcommand runs it:
-    ROADMAP item 8 moves it once the engine gives h at every K.
-    """
-    return (_fast_x_ups_k1(b0, x0),
-            x0 * (1.0 - x0) * _fast_ups_ups_reduced_k1(b0, x0))
-
-
-def _fast_x_ups_k1(b0, x0):
-    """d2Phi0/dx0 dups0 on the manifold at K = 1."""
-    q = 1.0 - b0
-    x = x0
-    den1 = q * (1.0 - x) + 1.0
-    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
-    p3 = (
-        q * q * q * (x * x * x * x)
-        - 3.0 * (q * q * q) * (x * x * x)
-        + 3.0 * (q * q * q) * (x * x)
-        - q * q * q * x
-        - 2.0 * (q * q) * (x * x * x)
-        + 3.0 * (q * q) * (x * x)
-        - q * q
-        - q * (x * x)
-        + 3.0 * q * x
-        - 2.0 * q
-        + 3.0 * x
-        - 1.0
-    )
-    return -q * p3 / den
-
-
-def _fast_ups_ups_reduced_k1(b0, x0):
-    """d2Phi0/dups0^2 divided by its exact factor x0 (1 - x0); boundary-safe."""
-    q = 1.0 - b0
-    x = x0
-    den1 = q * (1.0 - x) + 1.0
-    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
-    p4 = (
-        2.0 * (q * q) * (x * x * x)
-        - 5.0 * (q * q) * (x * x)
-        + 4.0 * (q * q) * x
-        - q * q
-        - 6.0 * q * (x * x)
-        + 8.0 * q * x
-        - 2.0 * q
-        + 5.0 * x
-        - 1.0
-    )
-    return -(q * q) * p4 / den
-
-
-def theta_fast_closed_k1(b0, x0):
-    """Closed-form environment entries of the fast-regime curvature matrix at K=1.
-
-    Returns (theta_x0_ups0, theta_ups0_ups0); the frequency-frequency block of
-    the fast curvature matrix coincides with the constant-environment one.
-    No subcommand runs it: ROADMAP item 8 moves it once the engine gives h at
-    every K.
-    """
-    q = 1.0 - b0
-    x = x0
-    den = (q * (1.0 - x) + 2.0) * (q * (1.0 - x) + 1.0) ** 3
-    p1 = (
-        q**3 * x**3
-        - 2.0 * q**3 * x**2
-        + q**3 * x
-        - 2.0 * q**2 * x**2
-        + 2.0 * q**2 * x
-        + q * x
-        - q
-        - 1.0
-    )
-    theta_x_ups = -q * (1.0 - x) * p1 / den
-    theta_ups_ups = (
-        q**2
-        * x
-        * (1.0 - x) ** 2
-        * (q**2 * (1.0 - x) + 2.0 * q * (2.0 - x) + 3.0)
-        / den
-    )
-    return theta_x_ups, theta_ups_ups
-
-
 def h_function(x0, b0):
     """Extra-drift shape of the fast environment (per unit p s^2 x0 (1-x0)).
 
-    Assembled from the constant-environment drift second derivative and the
-    fast-regime mixed derivatives; the removable 1/(x0 (1-x0)) singularity is
-    cancelled algebraically using the exact x0 (1-x0) factor of the second
-    mark derivative.
+    With q = 1 - b0 and s = 1 - x0,
+
+        h = q (4 + q - q x0 (5 + q s (4 + q s))) / ((q s + 1)(q s + 2)).
+
+    h is the K = 1 assembly q^2 x0 s phi'' + d2Phi0/dups0^2 / (x0 s)
+    - 2 q d2Phi0/dx0 dups0 + 2 q (s + b0 x0) / (q s + 1) of the fast-regime
+    projection map's second derivatives, whose denominators share the factor
+    (q s + 1)^3; the sum cancels (q s + 1)^2, and the removable 1/(x0 s) of
+    the mark-mark derivative cancels against its exact factor x0 s.  The
+    derivation's pieces are test references in ``tests/oracles.py``; the
+    tests check h against exact rational arithmetic and against the generic
+    engine's Hessian.  Products only, no powers, so a scalar and an array
+    round alike.
     """
     q = 1.0 - b0
-    term1 = q * q * x0 * (1.0 - x0) * drift_k1_closed(b0, x0)
-    term2 = _fast_ups_ups_reduced_k1(b0, x0)
-    term3 = -2.0 * q * _fast_x_ups_k1(b0, x0)
-    term4 = 2.0 * q * ((1.0 - x0) + b0 * x0) / (q * (1.0 - x0) + 1.0)
-    return term1 + term2 + term3 + term4
+    qs = q * (1.0 - x0)
+    return q * (4.0 + q - q * x0 * (5.0 + qs * (4.0 + qs))) / ((qs + 1.0) * (qs + 2.0))

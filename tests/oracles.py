@@ -7,7 +7,10 @@ check the package against, and that no CLI subcommand runs.
 * the bounding diffusion's scale function and its fixation bound Psi(B, y);
 * Phi, the infinite-time limit of a flow, by direct ODE integration;
 * the analytic derivative of the left null eigenvector along the manifold
-  and the linearized flow's closed-form curvature matrix.
+  and the linearized flow's closed-form curvature matrix;
+* the fast environment's K = 1 closed forms: the projection map's mixed
+  second derivatives and the curvature matrix's environment entries, the
+  pieces from which ``seedbank_flows.h_function`` is derived.
 """
 
 from dataclasses import dataclass
@@ -231,3 +234,89 @@ def theta_g_closed(d, x0):
     den = big_b * (1.0 - x0) + 1.0
     w = np.concatenate([[-big_b], tails])
     return -np.outer(w, w) * (1.0 - x0) / den**3
+
+
+# --- the fast environment at K = 1 ----------------------------------------
+
+def fast_second_derivatives_k1(b0, x0):
+    """Mixed second derivatives of the fast-regime projection map at K = 1.
+
+    Returns (d2Phi0/dx0 dups0, d2Phi0/dups0^2) evaluated on the manifold.
+    Exact rational functions of q = 1 - b0 and x0: the pieces that
+    ``seedbank_flows.h_function`` reduces.
+    """
+    return (_fast_x_ups_k1(b0, x0),
+            x0 * (1.0 - x0) * _fast_ups_ups_reduced_k1(b0, x0))
+
+
+def _fast_x_ups_k1(b0, x0):
+    """d2Phi0/dx0 dups0 on the manifold at K = 1."""
+    q = 1.0 - b0
+    x = x0
+    den1 = q * (1.0 - x) + 1.0
+    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
+    p3 = (
+        q * q * q * (x * x * x * x)
+        - 3.0 * (q * q * q) * (x * x * x)
+        + 3.0 * (q * q * q) * (x * x)
+        - q * q * q * x
+        - 2.0 * (q * q) * (x * x * x)
+        + 3.0 * (q * q) * (x * x)
+        - q * q
+        - q * (x * x)
+        + 3.0 * q * x
+        - 2.0 * q
+        + 3.0 * x
+        - 1.0
+    )
+    return -q * p3 / den
+
+
+def _fast_ups_ups_reduced_k1(b0, x0):
+    """d2Phi0/dups0^2 divided by its exact factor x0 (1 - x0); boundary-safe."""
+    q = 1.0 - b0
+    x = x0
+    den1 = q * (1.0 - x) + 1.0
+    den = (q * (1.0 - x) + 2.0) * (den1 * den1 * den1)
+    p4 = (
+        2.0 * (q * q) * (x * x * x)
+        - 5.0 * (q * q) * (x * x)
+        + 4.0 * (q * q) * x
+        - q * q
+        - 6.0 * q * (x * x)
+        + 8.0 * q * x
+        - 2.0 * q
+        + 5.0 * x
+        - 1.0
+    )
+    return -(q * q) * p4 / den
+
+
+def theta_fast_closed_k1(b0, x0):
+    """Closed-form environment entries of the fast-regime curvature matrix at K=1.
+
+    Returns (theta_x0_ups0, theta_ups0_ups0); the frequency-frequency block of
+    the fast curvature matrix coincides with the constant-environment one.
+    """
+    q = 1.0 - b0
+    x = x0
+    den = (q * (1.0 - x) + 2.0) * (q * (1.0 - x) + 1.0) ** 3
+    p1 = (
+        q**3 * x**3
+        - 2.0 * q**3 * x**2
+        + q**3 * x
+        - 2.0 * q**2 * x**2
+        + 2.0 * q**2 * x
+        + q * x
+        - q
+        - 1.0
+    )
+    theta_x_ups = -q * (1.0 - x) * p1 / den
+    theta_ups_ups = (
+        q**2
+        * x
+        * (1.0 - x) ** 2
+        * (q**2 * (1.0 - x) + 2.0 * q * (2.0 - x) + 3.0)
+        / den
+    )
+    return theta_x_ups, theta_ups_ups

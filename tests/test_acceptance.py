@@ -26,7 +26,6 @@ from seedbank import (
     drift_k2_closed,
     drift_second_derivative,
     eigvecs_on_gamma,
-    fast_second_derivatives_k1,
     g_function,
     h_function,
     hessians_on_gamma,
@@ -46,6 +45,7 @@ from seedbank.wf_simulators import run_fixation
 from conftest import generation, random_simplex
 from oracles import (
     BranchingSpec,
+    fast_second_derivatives_k1,
     left_eigvec_prime,
     mean_matrix,
     project_to_manifold,

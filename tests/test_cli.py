@@ -357,15 +357,19 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), bad
     # a value out of its flag's range is refused before any solve or
     # simulation, naming the flag (these once gave the library's messages:
-    # "start must lie in [0, 1]", "n_pop must be ...", "alpha(xi_min) must be
-    # >= 0", "logistic parameters r and xi_inf must be ..."), with no numpy
-    # warning
+    # "start must lie in [0, 1]", "start_rho must lie in (0, 1)", "n_pop must
+    # be ...", "alpha(xi_min) must be >= 0", "logistic parameters r and xi_inf
+    # must be ..."), with no numpy warning
     mc = ["mc-compare", "--b", "0.5,0.5", "--N", "50", "--start", "0.2",
           "--replicates", "200", "--regime"]
     vs_b0 = ["fixation-vs-b0", "--steps", "2", "--xi-inf", "0.8"]
     for bad, message in (
             (mc + ["constant", "--start", "1.5"], "--start must lie in [0, 1], got 1.5"),
             (mc + ["slow", "--start", "nan"], "--start must lie in [0, 1], got nan"),
+            (mc + ["slow", "--start", "0"],
+             "--start must lie in (0, 1) in the slow regime, got 0.0"),
+            (mc + ["slow", "--start", "1"],
+             "--start must lie in (0, 1) in the slow regime, got 1.0"),
             (mc + ["constant", "--N", "0"], "--N must be a positive integer, got 0"),
             (mc + ["slow", "--r", "-1"], "--r must be positive and finite, got -1.0"),
             (mc + ["slow", "--xi-inf", "nan"], "--xi-inf must be positive and finite, got nan"),

@@ -30,8 +30,6 @@ ALLOWLIST = {
     "seedbank_flows.drift_second_derivative": PERFBENCH,
     "seedbank_flows.eigvecs_on_gamma": PERFBENCH,
     "diffusion_limits.slow_coefficients_vec": "item 16",
-    "seedbank_flows.fast_second_derivatives_k1": "item 8",
-    "seedbank_flows.theta_fast_closed_k1": "item 8",
 }
 
 

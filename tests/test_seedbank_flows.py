@@ -12,7 +12,6 @@ from seedbank import (
     drift_k2_closed,
     drift_second_derivative,
     eigvecs_on_gamma,
-    fast_second_derivatives_k1,
     fd_hessians,
     fd_jacobian,
     h_function,
@@ -24,7 +23,6 @@ from seedbank import (
     projections,
     reduce_point,
     solve_theta,
-    theta_fast_closed_k1,
     validate_distribution,
 )
 from seedbank import seedbank_flows
@@ -34,7 +32,8 @@ from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
 from seedbank.seedbank_flows import batched_drift_fn
 from conftest import random_simplex, stack
-from oracles import left_eigvec_prime, theta_g_closed
+from oracles import (fast_second_derivatives_k1, left_eigvec_prime, theta_fast_closed_k1,
+                     theta_g_closed)
 
 
 def slow_spec():
