@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedK,
     ValidationError,
 )
+from .manifold_reduction import _lapack
 from .seedbank_flows import drift_factor_fn, h_function
 
 
@@ -575,8 +576,7 @@ def kolmogorov_fixation(d, logistic, start_rho):
     if not np.all((starts > 0.0) & (starts < 1.0)):
         raise ValidationError("start_rho must lie in (0, 1)")
     n_steps = _settle_steps(r, xi_inf, PDE_DT)
-    # deferred: scipy.linalg is slow to import; resolved once, not per step
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _lapack().dgtsv  # resolved once, not per step
 
     # (batch, interior node) arrays
     big_b = np.reshape(d.mean_time, (-1, 1))

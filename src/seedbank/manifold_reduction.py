@@ -19,6 +19,11 @@ Phi itself, by direct ODE integration, is a test reference in
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import itertools
+import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -248,11 +253,21 @@ def _no_sort(wr, wi):
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack, imported on the first call only: scipy.linalg is
-    slow to import, and a function-level import costs about 0.6 us per call."""
-    from scipy.linalg import lapack
+    """scipy's compiled LAPACK wrappers (``scipy.linalg._flapack``), loaded on
+    the first call only and by path: ``scipy/linalg/__init__.py``, which
+    imports dozens of further scipy modules, never runs.  The routines are
+    the very objects ``scipy.linalg.lapack`` exports.  Raises
+    ImportError, naming the directory searched, if scipy has no such module.
+    """
+    import scipy  # its _distributor_init readies the libraries the wrappers link
 
-    return lapack
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack in {where}")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack
 
 
 def schur_form(a):
@@ -310,21 +325,40 @@ def solve_theta(j, hessians, v, p_s, u):
     return theta
 
 
+def step_exponential(a):
+    """e^A for theta_integral's small step: scaled by 2^-s until
+    ||A 2^-s||_1 <= 1/2, the Taylor series summed until a term no longer
+    changes the sum, then squared s times."""
+    squarings = math.ceil(math.log2(max(2.0 * np.linalg.norm(a, 1), 1.0)))
+    a = a / 2.0 ** squarings
+    total = term = np.eye(len(a))
+    for k in itertools.count(1):
+        term = term @ a / k
+        if np.array_equal(total + term, total):
+            break
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 def theta_integral(j, hessians, v, p_s):
     """Theta via the integral formula -int_0^inf e^{J^T t} C e^{J t} dt.
 
     Composite Simpson quadrature on a uniform grid of step at most
     ``THETA_QUAD_STEP``, propagating e^{J t} by repeated multiplication with
-    one precomputed step exponential.  The horizon starts at ``THETA_T_MAX``
-    and is doubled until the integrand's max-norm at the endpoint drops below
-    1e-12.  No subcommand runs it: perfbench imports it (ROADMAP item 6).
+    one precomputed step exponential (``step_exponential``).  The horizon
+    starts at ``THETA_T_MAX`` and is doubled until the integrand's max-norm at
+    the endpoint drops below 1e-12; a non-finite J raises
+    TruncationNotConverged at once.  No subcommand runs it: perfbench imports
+    it (ROADMAP item 6).
     """
-    from scipy.linalg import expm  # deferred: scipy.linalg is slow to import
-
     j = np.asarray(j, dtype=float)
     c_mat = lyapunov_rhs(hessians, v, p_s)
     if np.max(np.abs(c_mat)) == 0.0:
         return np.zeros_like(j)
+    if not np.all(np.isfinite(j)):
+        raise TruncationNotConverged("a non-finite Jacobian: the integrand has no tail")
 
     t_max = THETA_T_MAX
     t_cap = 20_000.0
@@ -333,7 +367,7 @@ def theta_integral(j, hessians, v, p_s):
         if n_steps % 2 == 1:
             n_steps += 1
         h = t_max / n_steps
-        step = expm(j * h)
+        step = step_exponential(j * h)
         prop = np.eye(j.shape[0])
         integral = np.zeros_like(j)
         last = None

@@ -539,15 +539,36 @@ print(json.dumps([codes, "scipy" in sys.modules]))
     assert run_fresh(code) == [[0] * 7, False]
 
 
+DEEP = "0.5,0.1,0.1,0.1,0.1,0.1"
+LAPACK_RUNS = [
+    ["fixation-vs-b0", "--xi-inf", "0.8", "--steps", "2"],
+    ["reduce", "--spec", '{"tag": "constant", "b": [0.5, 0.5], "x0": 0.3}'],
+    ["reduce", "--spec", '{"tag": "fast_env", "b": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "x0": 0.3}'],
+    ["g-plot", "--b", DEEP, "--steps", "11"],
+    ["mc-compare", "--regime", "slow", "--b", "0.5,0.5", "--N", "50", "--start", "0.2",
+     "--replicates", "200", "--seed", "1"],
+    ["mc-compare", "--regime", "constant", "--b", DEEP, "--N", "50", "--start", "0.2",
+     "--replicates", "200", "--seed", "1"],
+]
+
+
 def test_cold_start_loads_scipy_on_demand(tmp_path):
-    out = str(tmp_path / "out")
+    # the subcommands that call LAPACK load scipy's compiled wrappers in a
+    # fresh process but never scipy.linalg, and write what they write in a
+    # process where scipy.linalg is loaded, byte for byte
+    import scipy.linalg  # noqa: F401  (this process: scipy.linalg loaded)
+
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
     code = f"""
 import json, sys
 from seedbank.cli import main
-spec = '{{"tag": "constant", "b": [0.5, 0.5], "x0": 0.3}}'
-codes = [main(["fixation-vs-b0", "--xi-inf", "0.8", "--steps", "2",
-               "--out", {out!r}]),
-         main(["reduce", "--spec", spec, "--out", {out!r}])]
-print(json.dumps([codes, "scipy" in sys.modules]))
+runs = {LAPACK_RUNS!r}
+codes = [main(argv + ["--out", {str(fresh)!r} + f"/{{i}}"]) for i, argv in enumerate(runs)]
+print(json.dumps([codes, "scipy" in sys.modules, "scipy.linalg" in sys.modules]))
 """
-    assert run_fresh(code) == [[0, 0], True]
+    assert run_fresh(code) == [[0] * len(LAPACK_RUNS), True, False]
+    for i, argv in enumerate(LAPACK_RUNS):
+        assert main(argv + ["--out", str(here / str(i))]) == 0
+        assert (fresh / str(i)).read_bytes() == (here / str(i)).read_bytes(), argv

@@ -20,7 +20,7 @@ from seedbank import (
     sde_constant,
     validate_distribution,
 )
-from seedbank import Banks, diffusion_limits
+from seedbank import Banks, diffusion_limits, manifold_reduction
 from seedbank.diffusion_limits import (
     PDE_DT,
     PDE_NODES,
@@ -1079,9 +1079,8 @@ def test_kolmogorov_many_chunks_match_per_step_loop():
 def test_kolmogorov_non_finite_mid_march_raises(monkeypatch, where):
     # a value that goes non-finite in any step, the last of a short final
     # chunk included, raises NoConvergence instead of reaching the result
-    import scipy.linalg.lapack
-
-    real = scipy.linalg.lapack.dgtsv
+    lapack = manifold_reduction._lapack()
+    real = lapack.dgtsv
     n_steps = _settle_steps(20.0, 0.8, PDE_DT)
     bad_call = {"terminal": 0, "first": 1, "middle": n_steps // 2, "last": n_steps}[where]
     calls = []
@@ -1093,7 +1092,7 @@ def test_kolmogorov_non_finite_mid_march_raises(monkeypatch, where):
         calls.append(None)
         return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
+    monkeypatch.setattr(lapack, "dgtsv", poisoned)
     d = validate_distribution([0.5, 0.5])
     with pytest.raises(NoConvergence):
         kolmogorov_fixation(d, {"r": 20.0, "xi_inf": 0.8}, 0.1)

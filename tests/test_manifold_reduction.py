@@ -24,14 +24,17 @@ from seedbank import (
     theta_integral,
     validate_distribution,
 )
+from seedbank import manifold_reduction
 from seedbank.errors import (
     DomainViolation,
     MultipleNullEigenvalues,
     NoNullEigenvalue,
     SingularSystem,
     SpectrumViolation,
+    TruncationNotConverged,
 )
-from seedbank.manifold_reduction import VPRIME_FD_STEP, lyapunov_rhs
+from seedbank.manifold_reduction import (THETA_QUAD_STEP, VPRIME_FD_STEP, lyapunov_rhs,
+                                         step_exponential)
 from conftest import random_simplex
 from oracles import left_eigvec_prime, project_to_manifold, theta_g_closed
 
@@ -219,6 +222,69 @@ def test_theta_integral_cross_pipeline():
             direct = solve_theta(jac, hess, v, p_s, u)
             quad = theta_integral(jac, hess, v, p_s)
             assert np.max(np.abs(direct - quad)) < 1e-7
+
+
+def test_lapack_handle_is_scipys_lapack():
+    # the routines are the very objects scipy.linalg.lapack exports
+    from scipy.linalg import lapack
+
+    for name in ("dgees", "dtrsyl", "dgtsv"):
+        assert getattr(manifold_reduction._lapack(), name) is getattr(lapack, name)
+
+
+def test_lapack_handle_names_the_directory_it_searched(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    manifold_reduction._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError) as caught:
+            manifold_reduction._lapack()
+        assert str(tmp_path / "linalg") in str(caught.value)
+    finally:
+        manifold_reduction._lapack.cache_clear()
+
+
+def assert_near_expm(a):
+    from scipy.linalg import expm
+
+    want = expm(a)
+    assert np.max(np.abs(step_exponential(a) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_step_exponential_matches_expm_on_quadrature_steps():
+    # theta_integral's step e^{J h}: constant and fast-environment Jacobians
+    rng = np.random.default_rng(31)
+    for k in (1, 5, 20):
+        for tag in ("constant", "fast_env"):
+            for x0 in (0.0, 0.3, 0.9):
+                jac = jacobian_on_gamma(FlowKind(tag, random_simplex(rng, k)), x0)
+                assert np.linalg.norm(jac * THETA_QUAD_STEP, 1) <= 0.5
+                assert_near_expm(jac * THETA_QUAD_STEP)
+
+
+@pytest.mark.parametrize("norm", [0.05, 0.4, 0.5, 0.6, 1.0, 2.0])
+def test_step_exponential_matches_expm_around_scaling(norm):
+    # random stable matrices with ||A||_1 on both sides of the 1/2 at which
+    # scaling and squaring starts
+    rng = np.random.default_rng(37)
+    for n in (2, 6, 21):
+        for _ in range(10):
+            a = rng.standard_normal((n, n))
+            a -= (np.max(np.linalg.eigvals(a).real) + 0.1) * np.eye(n)
+            assert_near_expm(a * (norm / np.linalg.norm(a, 1)))
+    assert np.array_equal(step_exponential(np.zeros((3, 3))), np.eye(3))
+
+
+def test_theta_integral_non_finite_jacobian_is_typed():
+    d = validate_distribution([0.5, 0.3, 0.2])
+    kind = FlowKind("constant", d)
+    jac = jacobian_on_gamma(kind, 0.4)
+    u, v = eigvecs_on_gamma(kind, 0.4)
+    _, p_s = projections(u, v)
+    jac[1, 1] = math.nan
+    with pytest.raises(TruncationNotConverged):
+        theta_integral(jac, hessians_on_gamma(kind, 0.4), v, p_s)
 
 
 def test_semidefiniteness_transfer():

@@ -25,6 +25,7 @@ ALLOWLIST = {
     "manifold_reduction.theta_integral": PERFBENCH,
     "manifold_reduction.THETA_T_MAX": PERFBENCH,
     "manifold_reduction.THETA_QUAD_STEP": PERFBENCH,
+    "manifold_reduction.step_exponential": PERFBENCH,
     "errors.TruncationNotConverged": PERFBENCH,
     "seedbank_flows.delta_matrix": PERFBENCH,
     "seedbank_flows.drift_second_derivative": PERFBENCH,

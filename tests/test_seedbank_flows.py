@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from seedbank import (
     FlowKind,
@@ -25,7 +24,7 @@ from seedbank import (
     solve_theta,
     validate_distribution,
 )
-from seedbank import seedbank_flows
+from seedbank import manifold_reduction, seedbank_flows
 from seedbank.core_model import Banks, GerminationDistribution
 from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
@@ -427,8 +426,10 @@ def test_batched_drift_residual_check_catches_bad_capacitance_solve(monkeypatch)
 
 
 def test_batched_drift_failed_factorisations_are_typed(monkeypatch):
-    # the Schur helpers look lapack's routines up at call time, so patching
-    # the module's attributes reaches them
+    # the Schur helpers look the routines up on the package's LAPACK handle
+    # (manifold_reduction._lapack()) at call time, so patching its attributes
+    # reaches them
+    lapack = manifold_reduction._lapack()
     d = random_simplex(np.random.default_rng(83), 4)
     banks = stack([random_simplex(np.random.default_rng(84), 4), d])
     gees, trsyl = lapack.dgees, lapack.dtrsyl
@@ -468,6 +469,7 @@ def test_deep_stack_drift_is_one_factorisation(monkeypatch):
     xs = np.linspace(0.0, 1.0, 7)
     want = [drift_factor_fn(d)(xs) for d in ds]
     counts = {"gees": 0, "banks": 0}
+    lapack = manifold_reduction._lapack()
     gees, post_init = lapack.dgees, GerminationDistribution.__post_init__
 
     def counted_gees(*args, **kwargs):
