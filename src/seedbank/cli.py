@@ -240,10 +240,11 @@ def cmd_reduce(args):
         raise ValidationError(f'"x0" must be a finite number, got {x0!r}')
     d = validate_distribution(spec["b"])
     kind = FlowKind(spec["tag"], d)
+    # the chart first: it refuses slow_env with the engine's own reason
+    chart = manifold_chart(kind)
     flow = build_flow(kind)
     flow.jac = lambda x: jacobian_on_gamma(kind, x[0])
     flow.hess = lambda x: hessians_on_gamma(kind, x[0])
-    chart = manifold_chart(kind)
     result = reduce_point(flow, chart, float(x0)).to_dict()
     _emit(args.out, [json.dumps(result, indent=2, sort_keys=True, allow_nan=False)])
 

@@ -112,7 +112,7 @@ def tail_sums(d):
     """Tail sums T_i = sum(b_l for l >= i), i = 1..K: monotone non-increasing,
     with T_1 = 1 - b0; one row per distribution of a ``Banks`` stack.
     No subcommand reaches it; perfbench does, through ``eigvecs_on_gamma``
-    (ROADMAP item 6)."""
+    (ROADMAP item 18)."""
     # cumulative sum from the right; drop the i=0 entry
     return np.cumsum(d.array[..., ::-1], axis=-1)[..., ::-1][..., 1:]
 

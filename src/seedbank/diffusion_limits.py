@@ -37,7 +37,7 @@ from .seedbank_flows import drift_factor_fn, h_function
 # drift/diffusion coefficients of a limiting diffusion: drift(y) returns a
 # (dim,) vector and diffusion(y) a (dim, n_noise) matrix, one column per
 # independent Brownian motion; no subcommand uses it: perfbench imports it
-# (ROADMAP item 6)
+# (ROADMAP item 18)
 SdeSpec = namedtuple("SdeSpec", ["drift", "diffusion"])
 
 
@@ -93,7 +93,7 @@ def fast_coefficients_vec(d, fenv):
 def sde_constant(d):
     """Limiting 1-D diffusion of the constant-environment model, as an
     ``SdeSpec`` of 1-element state arrays.  No subcommand runs it: perfbench
-    imports it (ROADMAP item 6)."""
+    imports it (ROADMAP item 18)."""
     drift_vec, diff_vec = constant_coefficients_vec(d)
     return SdeSpec(drift=lambda y: np.array([drift_vec(y[0])]),
                    diffusion=lambda y: np.array([[diff_vec(y[0])]]))
@@ -163,7 +163,7 @@ TAIL_REPLICATES = 3
 
 def sample_absorption(drift_vec, diff_vec, start, dt, seed, replicates, max_time):
     """Vectorized absorption sampling for a 1-D diffusion on [0, 1].  No
-    subcommand runs it: perfbench imports it (ROADMAP item 6).
+    subcommand runs it: perfbench imports it (ROADMAP item 18).
 
     ``drift_vec`` and ``diff_vec`` map an array of states to arrays of
     coefficients.  A replicate is lost below 1e-9 and fixed above 1 - 1e-9,

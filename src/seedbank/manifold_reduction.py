@@ -351,7 +351,7 @@ def theta_integral(j, hessians, v, p_s):
     starts at ``THETA_T_MAX`` and is doubled until the integrand's max-norm at
     the endpoint drops below 1e-12; a non-finite J raises
     TruncationNotConverged at once.  No subcommand runs it: perfbench imports
-    it (ROADMAP item 6).
+    it (ROADMAP item 18).
     """
     j = np.asarray(j, dtype=float)
     c_mat = lyapunov_rhs(hessians, v, p_s)

@@ -1,15 +1,15 @@
-"""Concrete seed-bank flow fields and their closed-form reduction quantities.
+"""The seed-bank flow field and its closed-form reduction quantities.
 
-Four flows are provided, all sharing the attractor manifold "all generations at
+One field (``build_flow``), the drift of the Wright-Fisher chain with seed
+bank, takes four tags, all sharing the attractor manifold "all generations at
 the same mutant frequency":
 
-* ``constant`` — the drift field of the constant-environment model (dim K+1),
-* ``linearized`` — the same field with the rational denominator dropped
-  (dim K+1); its curvature matrix has a simple closed form, a test reference
-  in ``tests/oracles.py``,
-* ``slow_env`` — the field coupled to a population-size variable xi (dim K+2),
-* ``fast_env`` — the field augmented with the last K environment marks
-  (dim 2K+1).
+* ``constant`` — the constant environment (dim K+1),
+* ``linearized`` — without the rational denominator (dim K+1); its curvature
+  matrix has a simple closed form, a test reference in ``tests/oracles.py``,
+* ``slow_env`` — a frozen population-size coordinate xi in place of 1 (dim K+2),
+* ``fast_env`` — dormant weights scaled by the last K environment marks, which
+  age like the bank (dim 2K+1).
 
 Alongside the generic engine interface (build_flow + closed Jacobians,
 eigenvectors and Hessians on the manifold), this module exposes the headline
@@ -43,7 +43,7 @@ TAGS = ("constant", "linearized", "slow_env", "fast_env")
 
 @dataclass(frozen=True)
 class FlowKind:
-    """Selects one of the four built-in flows for a germination distribution."""
+    """Selects one of the field's four tags for a germination distribution."""
 
     tag: str
     d: GerminationDistribution
@@ -56,72 +56,31 @@ class FlowKind:
     @property
     def dim(self):
         k = self.d.k
-        return {"constant": k + 1, "linearized": k + 1, "slow_env": k + 2,
-                "fast_env": 2 * k + 1}[self.tag]
+        return k + 1 + {"slow_env": 1, "fast_env": k}.get(self.tag, 0)
 
 
-def _constant_field(d):
-    b = d.array
-
-    def func(x):
-        x0 = x[0]
-        num = b[1:] @ x[1:] - (1.0 - b[0]) * x0
-        den = (1.0 - x0) + b @ x
-        out = np.empty_like(x)
-        out[0] = (1.0 - x0) * num / den
-        out[1:] = x[:-1] - x[1:]
-        return out
-
-    return func
-
-
-def _linearized_field(d):
-    b = d.array
-
-    def func(x):
-        x0 = x[0]
-        out = np.empty_like(x)
-        out[0] = (1.0 - x0) * (b[1:] @ x[1:] - (1.0 - b[0]) * x0)
-        out[1:] = x[:-1] - x[1:]
-        return out
-
-    return func
-
-
-def _slow_env_field(d):
-    b = d.array
-    k = d.k
+def _field(kind):
+    """The seed-bank field of ``kind``: the mutant row
+    (xi - x0)(w . x_1: - (1 - b0) x0) / ((xi - x0) + b0 x0 + w . x_1:), with
+    xi the state's last coordinate for ``slow_env`` and 1 otherwise, weights
+    w = b_1: (1 + marks) for ``fast_env`` and b_1: otherwise, and no
+    denominator for ``linearized``; the bank rows and the marks age by one."""
+    tag, b, k = kind.tag, kind.d.array, kind.d.k
 
     def func(state):
-        x = state[: k + 1]
-        xi = state[k + 1]
-        num = b[1:] @ x[1:] - (1.0 - b[0]) * x[0]
-        den = (xi - x[0]) + b @ x
+        x0 = state[0]
+        free = (state[-1] if tag == "slow_env" else 1.0) - x0
+        weights = b[1:] * (1.0 + state[k + 1 :]) if tag == "fast_env" else b[1:]
+        dormant = weights @ state[1 : k + 1]
         out = np.empty_like(state)
-        out[0] = (xi - x[0]) * num / den
-        out[1 : k + 1] = x[:-1] - x[1:]
-        out[k + 1] = 0.0
-        return out
-
-    return func
-
-
-def _fast_env_field(d):
-    b = d.array
-    k = d.k
-
-    def func(state):
-        x = state[: k + 1]
-        ups = state[k + 1 :]
-        weights = b[1:] * (1.0 + ups)
-        num = weights @ x[1:] - (1.0 - b[0]) * x[0]
-        den = (1.0 - x[0]) + b[0] * x[0] + weights @ x[1:]
-        out = np.empty_like(state)
-        out[0] = (1.0 - x[0]) * num / den
-        out[1 : k + 1] = x[:k] - x[1 : k + 1]
-        out[k + 1] = -ups[0]
-        if k > 1:
-            out[k + 2 :] = ups[:-1] - ups[1:]
+        out[0] = free * (dormant - (1.0 - b[0]) * x0)
+        if tag != "linearized":
+            out[0] /= free + b[0] * x0 + dormant
+        out[1:] = state[:-1] - state[1:]
+        if tag == "slow_env":
+            out[k + 1] = 0.0  # xi is frozen
+        elif tag == "fast_env":
+            out[k + 1] = -state[k + 1]  # the fresh mark is 0
         return out
 
     return func
@@ -135,22 +94,18 @@ def build_flow(kind):
     ``hess``; the ``reduce`` subcommand attaches ``jacobian_on_gamma`` and
     ``hessians_on_gamma``, which are exact on the manifold only.
     """
-    d = kind.d
-    k = d.k
-    if kind.tag in ("constant", "linearized"):
-        domain = np.tile([0.0, 1.0], (k + 1, 1))
-        func = _constant_field(d) if kind.tag == "constant" else _linearized_field(d)
-        return FlowField(dim=kind.dim, domain=domain, func=func)
+    k = kind.d.k
+    domain = np.tile([0.0, 1.0], (kind.dim, 1))
+    constraint = None
     if kind.tag == "slow_env":
         if kind.env is None:
             raise ValidationError("slow_env flow requires a SlowEnvSpec")
-        xi_max = kind.env.xi_max
-        domain = np.vstack([np.tile([0.0, xi_max], (k + 1, 1)), [[kind.env.xi_min, xi_max]]])
-        return FlowField(dim=kind.dim, domain=domain, func=_slow_env_field(d),
-                         constraint=lambda s: s[0] <= s[k + 1] + 1e-9)
-    # fast_env
-    domain = np.vstack([np.tile([0.0, 1.0], (k + 1, 1)), np.tile([-1.0, 1.0], (k, 1))])
-    return FlowField(dim=kind.dim, domain=domain, func=_fast_env_field(d))
+        domain[:, 1] = kind.env.xi_max
+        domain[k + 1, 0] = kind.env.xi_min
+        constraint = lambda s: s[0] <= s[k + 1] + 1e-9
+    elif kind.tag == "fast_env":
+        domain[k + 1 :, 0] = -1.0
+    return FlowField(dim=kind.dim, domain=domain, func=_field(kind), constraint=constraint)
 
 
 def jacobian_on_gamma(kind, x0):
@@ -178,7 +133,7 @@ def jacobian_on_gamma(kind, x0):
 
 def eigvecs_on_gamma(kind, x0):
     """Closed-form null eigenvectors (u, v) on the manifold, with <u, v> = 1.
-    No subcommand runs it: perfbench imports it (ROADMAP item 6)."""
+    No subcommand runs it: perfbench imports it (ROADMAP item 18)."""
     d = kind.d
     k = d.k
     tails = tail_sums(d)
@@ -264,7 +219,7 @@ def delta_matrix(d):
 
     Hess F0 = Hess G0 + 2 (1 - x0) Delta on the manifold.  Returns the matrix
     and its spectrum {0 (multiplicity K), -( (1-b0)^2 + sum b_i^2 )}.  No
-    subcommand runs it: perfbench imports it (ROADMAP item 6).
+    subcommand runs it: perfbench imports it (ROADMAP item 18).
     """
     b = d.array
     w = np.concatenate([[1.0 - b[0]], -b[1:]])
@@ -315,7 +270,7 @@ def drift_second_derivative(d, x0):
     the oracle path; the diffusion limits use ``batched_drift_fn``, which is
     exact too and much cheaper per point.  ``d`` is one bank; a ``Banks``
     stack raises ``ValidationError`` (``drift_factor_fn`` takes a stack).
-    No subcommand runs it: perfbench wraps it (ROADMAP item 6).
+    No subcommand runs it: perfbench wraps it (ROADMAP item 18).
     """
     if np.ndim(d.mean_time):
         raise ValidationError("drift_second_derivative, the per-point oracle, takes "

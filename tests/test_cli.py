@@ -316,6 +316,15 @@ def test_reduce(tmp_path):
     assert payload["phi0_grad"][0] == pytest.approx(expected, abs=1e-10)
 
 
+def test_reduce_slow_env_gives_the_engine_reason(tmp_path, capsys):
+    # the refusal once named a SlowEnvSpec, which a --spec cannot carry
+    spec = json.dumps({"tag": "slow_env", "b": [0.5, 0.5], "x0": 0.3})
+    rc, out = run(tmp_path, "reduce.json", ["reduce", "--spec", spec])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert err == "error: the slow_env manifold is two-dimensional; no 1-D chart\n", err
+
+
 def test_exit_codes(tmp_path, capsys):
     rc = main(["mc-compare", "--regime", "constant", "--b", "0.5,oops",
                "--N", "50", "--start", "0.2", "--replicates", "200"])

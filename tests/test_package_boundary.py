@@ -14,7 +14,7 @@ import seedbank
 
 PACKAGE = Path(seedbank.__file__).parent
 
-PERFBENCH = "perfbench imports it (ROADMAP item 6)"
+PERFBENCH = "perfbench imports it (ROADMAP item 18)"
 ALLOWLIST = {
     "core_model.tail_sums": PERFBENCH,
     "diffusion_limits.SdeSpec": PERFBENCH,

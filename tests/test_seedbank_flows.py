@@ -30,6 +30,7 @@ from seedbank.errors import SingularSystem, UnsupportedK, ValidationError
 from seedbank.diffusion_limits import drift_factor_fn
 from seedbank.manifold_reduction import theta_integral
 from seedbank.seedbank_flows import batched_drift_fn
+from seedbank.wf_simulators import _probability
 from conftest import random_simplex, stack
 from oracles import (fast_second_derivatives_k1, left_eigvec_prime, theta_fast_closed_k1,
                      theta_g_closed)
@@ -92,6 +93,35 @@ def test_slow_env_scaling_identity():
         want = xi * const(x / xi)
         np.testing.assert_allclose(got[: k + 1], want, atol=1e-12)
         assert got[k + 1] == 0.0
+
+
+def test_one_field_identities():
+    # one field serves every tag: at zero marks fast_env is constant and at
+    # xi = 1 slow_env is constant, bit for bit, and the mutant row is the
+    # chain's mean step xi p - x0, p the success probability of a generation
+    rng = np.random.default_rng(31)
+    n_states = 2000
+    fast_same = slow_same = 0
+    worst_const = worst_slow = 0.0
+    for _ in range(n_states):
+        k = int(rng.integers(1, 6))
+        d = random_simplex(rng, k)
+        b = d.array
+        x = rng.uniform(0.0, 1.0, k + 1)
+        const = build_flow(FlowKind("constant", d))(x)
+        fast = build_flow(FlowKind("fast_env", d))(np.concatenate([x, np.zeros(k)]))
+        slow = build_flow(FlowKind("slow_env", d, env=slow_spec()))
+        at_one = slow(np.concatenate([x, [1.0]]))
+        fast_same += np.array_equal(fast, np.concatenate([const, np.zeros(k)]))
+        slow_same += np.array_equal(at_one, np.concatenate([const, [0.0]]))
+        step = _probability(b[0], x[0], 1.0 - x[0], None, b[1:] @ x[1:]) - x[0]
+        worst_const = max(worst_const, abs(const[0] - step))
+        xi = rng.uniform(0.2, 2.0)
+        y = rng.uniform(0.0, xi, k + 1)
+        step = xi * _probability(b[0], y[0], xi - y[0], None, b[1:] @ y[1:]) - y[0]
+        worst_slow = max(worst_slow, abs(slow(np.concatenate([y, [xi]]))[0] - step))
+    assert (fast_same, slow_same) == (n_states, n_states)
+    assert worst_const <= 1e-15 and worst_slow <= 1e-15, (worst_const, worst_slow)
 
 
 def test_jacobian_examples():
