@@ -23,7 +23,13 @@ import numpy as np
 
 from . import __version__
 from .branching_phase import psi
-from .core_model import Banks, FastEnvSpec, check_positive_int, validate_distribution
+from .core_model import (
+    Banks,
+    FastEnvSpec,
+    check_positive_int,
+    check_seed,
+    validate_distribution,
+)
 from .diffusion_limits import (
     _bounding_fixation,
     constant_coefficients_vec,
@@ -43,7 +49,7 @@ from .seedbank_flows import (
     jacobian_on_gamma,
     manifold_chart,
 )
-from .wf_simulators import make_env_process, run_fixation
+from .wf_simulators import _mature_size, make_env_process, run_fixation
 
 
 def _fmt(value):
@@ -189,6 +195,11 @@ def cmd_mc_compare(args):
     d = validate_distribution(_parse_floats(args.b, "--b"))
     check_positive_int("--N", args.N)
     _check_within("--start", args.start, 0.0, 1.0)
+    # run_fixation's checks, by flag, before the prediction's solve
+    if args.replicates < 100:
+        raise ValidationError(f"--replicates must be at least 100, got {args.replicates}")
+    check_positive_int("--max-generations", args.max_generations)
+    check_seed(args.seed, "--seed")
     if args.regime == "slow":
         # the Kolmogorov march starts strictly inside (0, 1)
         if not 0.0 < args.start < 1.0:
@@ -211,6 +222,9 @@ def cmd_mc_compare(args):
         if not args.xi_min <= 1.0 <= args.xi_max:
             raise ValidationError(f"--xi-min {args.xi_min} and --xi-max {args.xi_max} "
                                   "must bracket the start xi = 1")
+        if _mature_size(args.xi_min, args.N) < 1:
+            raise ValidationError(f"--xi-min {args.xi_min} times --N {args.N} is below 1: "
+                                  "the mature population can be empty")
         prediction = kolmogorov_fixation(d, {"r": args.r, "xi_inf": args.xi_inf},
                                          args.start)
     elif args.regime == "fast":
@@ -219,8 +233,7 @@ def cmd_mc_compare(args):
     else:
         prediction = scale_fixation(*constant_coefficients_vec(d), args.start)
     estimate = run_fixation(args.regime, d, args.N, args.start, args.replicates,
-                            args.max_generations, args.seed, threads=args.threads,
-                            env=env, fenv=fenv)
+                            args.max_generations, args.seed, env=env, fenv=fenv)
     payload = {
         "estimate": estimate.to_dict(),
         "diffusion_prediction": prediction,
@@ -321,7 +334,6 @@ def build_parser():
     p.add_argument("--xi-inf", dest="xi_inf", type=float, default=1.0)
     p.add_argument("--xi-min", dest="xi_min", type=float, default=0.1)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=2.0)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_mc_compare)
 

@@ -122,11 +122,11 @@ def validate_distribution(raw):
     return GerminationDistribution(raw)
 
 
-def check_seed(seed):
-    """Reject a master seed that is not an integer in [0, 2**64) (a bool is
-    not one): the seeds both random number generators take."""
+def check_seed(seed, name="seed"):
+    """Reject a master seed ``name`` that is not an integer in [0, 2**64) (a
+    bool is not one): the seeds both random number generators take."""
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def check_positive_int(name, value):

@@ -46,6 +46,7 @@ genetic channel.
 import itertools
 import math
 import operator
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -385,7 +386,7 @@ def _run_block(regime, d, n_pop, start_count, block_size, master_seed,
 
 
 def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
-                 threads=1, env=None, fenv=None, xi0=1.0):
+                 env=None, fenv=None, xi0=1.0):
     """Monte Carlo fixation probability for one regime.
 
     ``start`` is the initial mutant frequency; the initial state puts every
@@ -394,11 +395,16 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
     ``deterministic_logistic`` all follow the one path from there, under
     ``reflected_walk`` each its own.  ``seed`` is an integer in [0, 2**64).
     Censored replicates are excluded from p_hat and reported.
+
+    The replicates run in blocks of ``BLOCK_SIZE``, each on its own streams,
+    on min(blocks, usable CPUs) threads: the CPUs of the process's affinity
+    where the platform reports it, else ``os.cpu_count()``.  A run that needs
+    one worker runs with no pool.  The counts do not depend on the pool size.
     """
     if regime not in ("constant", "slow", "fast"):
         raise ValidationError(f"unknown regime {regime!r}")
     for name, value in (("n_pop", n_pop), ("replicates", replicates),
-                        ("max_generations", max_generations), ("threads", threads)):
+                        ("max_generations", max_generations)):
         check_positive_int(name, value)
     if replicates < 100:
         raise ValidationError("replicates must be at least 100")
@@ -427,28 +433,23 @@ def run_fixation(regime, d, n_pop, start, replicates, max_generations, seed,
                 "individuals of generation 0"
             )
 
-    blocks = []
-    remaining = replicates
-    index = 0
-    while remaining > 0:
-        size = min(BLOCK_SIZE, remaining)
-        blocks.append((index, size))
-        remaining -= size
-        index += 1
-
-    def work(item):
-        block_index, size = item
-        return _run_block(regime, d, n_pop, start_count, size, seed, block_index,
+    def work(first):
+        size = min(BLOCK_SIZE, replicates - first)
+        return _run_block(regime, d, n_pop, start_count, size, seed, first // BLOCK_SIZE,
                           max_generations, env=env, fenv=fenv, xi0=xi0)
 
-    if threads > 1:
+    blocks = range(0, replicates, BLOCK_SIZE)  # each block's first replicate
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(len(blocks), cpus)
+    if workers > 1:
         # deferred: concurrent.futures imports logging
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, blocks))
     else:
-        results = [work(item) for item in blocks]
+        results = list(map(work, blocks))
 
     fixed = sum(r[0] for r in results)
     lost = sum(r[1] for r in results)

@@ -249,9 +249,6 @@ def test_mc_compare(tmp_path):
     assert 0.0 < payload["diffusion_prediction"] < 1.0
     assert abs(payload["estimate"]["p_hat"] - payload["diffusion_prediction"]) < 0.2
 
-    rc, threaded = run(tmp_path, "mc_threads.json", argv + ["--threads", "2"])
-    assert rc == 0 and threaded.read_bytes() == out.read_bytes()
-
 
 def test_mc_compare_fully_censored_is_strict_json(tmp_path):
     # every replicate censored: p_hat and std_err are undefined and written
@@ -304,6 +301,40 @@ def test_mc_compare_box_without_the_start_refuses_before_predicting(
         assert "xi = 1" in err
 
 
+def test_mc_compare_checks_monte_carlo_inputs_before_predicting(
+        tmp_path, monkeypatch, capsys):
+    # a replicate count, generation budget, seed or slow-regime box that the
+    # Monte Carlo would refuse exits 2 naming its flag before the prediction
+    # (the slow regime once spent over 2 s in the Kolmogorov march first, then
+    # named no flag)
+    def never(*args, **kwargs):
+        raise AssertionError("prediction called")
+
+    monkeypatch.setattr(cli, "scale_fixation", never)
+    monkeypatch.setattr(cli, "kolmogorov_fixation", never)
+    slow = ["mc-compare", "--regime", "slow", "--b", "0.5,0.5", "--N", "300",
+            "--start", "0.2", "--r", "0.5", "--xi-inf", "0.05", "--xi-min", "0.04",
+            "--xi-max", "1.5", "--replicates"]
+    constant = ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "50",
+                "--start", "0.2", "--replicates"]
+    for bad, message in (
+            (slow + ["50"], "--replicates must be at least 100, got 50"),
+            (slow + ["200", "--seed", "-1"],
+             "--seed must be an integer in [0, 2**64), got -1"),
+            (constant + ["99"], "--replicates must be at least 100, got 99"),
+            (constant + ["200", "--max-generations", "0"],
+             "--max-generations must be a positive integer, got 0"),
+            (constant + ["200", "--seed", str(2**64)],
+             f"--seed must be an integer in [0, 2**64), got {2**64}"),
+            (["mc-compare", "--regime", "slow", "--b", "0.5,0.5", "--N", "8",
+              "--start", "0.125", "--replicates", "200", "--r", "20", "--xi-inf", "0.11",
+              "--xi-min", "0.1", "--xi-max", "2"],
+             "--xi-min 0.1 times --N 8 is below 1: the mature population can be empty")):
+        rc, out = run(tmp_path, "mc.json", bad)
+        assert rc == 2 and not out.exists(), bad
+        assert capsys.readouterr().err == f"error: {message}\n", bad
+
+
 def test_reduce(tmp_path):
     spec = json.dumps({"tag": "constant", "b": [0.5, 0.5], "x0": 0.3})
     rc, out = run(tmp_path, "reduce.json", ["reduce", "--spec", spec])
@@ -340,8 +371,7 @@ def test_exit_codes(tmp_path, capsys):
     # Monte Carlo inputs that are not a population, a frequency or a budget
     mc = ["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--replicates", "200"]
     for bad in (["--N", "0", "--start", "0.2"], ["--N", "50", "--start", "nan"],
-                ["--N", "50", "--start", "0.2", "--max-generations", "0"],
-                ["--N", "50", "--start", "0.2", "--threads", "0"]):
+                ["--N", "50", "--start", "0.2", "--max-generations", "0"]):
         rc = main(mc + bad + ["--out", str(tmp_path / "mc.json")])
         assert rc == 2, bad
         assert not (tmp_path / "mc.json").exists()
@@ -436,9 +466,10 @@ def test_exit_codes(tmp_path, capsys):
         assert not (tmp_path / "reduce.json").exists()
         assert capsys.readouterr().err.startswith("error: "), spec
 
-    # only mc-compare runs Monte Carlo, so only it takes --threads
+    # the Monte Carlo sizes its own thread pool: there is no --threads
     with pytest.raises(SystemExit) as exc:
-        main(["psi-curve", "--threads", "2"])
+        main(["mc-compare", "--regime", "constant", "--b", "0.5,0.5", "--N", "50",
+              "--start", "0.2", "--replicates", "200", "--threads", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -526,7 +557,8 @@ def run_fresh(code):
 
 
 def test_cold_start_leaves_scipy_unloaded(tmp_path):
-    # the subcommands that never call LAPACK, at K <= 2, never import scipy
+    # the subcommands that never call LAPACK, at K <= 2, never import scipy,
+    # and a one-block Monte Carlo builds no thread pool
     out = str(tmp_path / "out")
     code = f"""
 import json, sys
@@ -543,9 +575,9 @@ runs = [
      "--start", "0.2", "--replicates", "200", "--seed", "1"],
 ]
 codes = [main(argv + ["--out", {out!r}]) for argv in runs]
-print(json.dumps([codes, "scipy" in sys.modules]))
+print(json.dumps([codes, "scipy" in sys.modules, "concurrent.futures" in sys.modules]))
 """
-    assert run_fresh(code) == [[0] * 7, False]
+    assert run_fresh(code) == [[0] * 7, False, False]
 
 
 DEEP = "0.5,0.1,0.1,0.1,0.1,0.1"

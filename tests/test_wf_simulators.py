@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from seedbank import FastEnvSpec, validate_distribution, wf_simulators
 from seedbank.diffusion_limits import logistic_xi
 from seedbank.errors import BoundaryConditionViolated, ValidationError
 from seedbank.wf_simulators import (
+    BLOCK_SIZE,
     TAIL_ROWS,
     EnvProcess,
     _block_rng,
@@ -269,11 +272,11 @@ def test_run_fixation_validation_and_edges():
     with pytest.raises(ValidationError, match="xi_min"):
         run_fixation("slow", d, 8, 0.125, 200, 1000, seed=1, env=env, xi0=1.0)
 
-    # not a population size, a frequency, a budget or a thread count
+    # not a population size, a frequency or a budget
     base = dict(n_pop=100, start=0.3, replicates=200, max_generations=1000, seed=1)
     for bad in [{"n_pop": 10.5}, {"n_pop": 0}, {"n_pop": np.int64(-3)},
                 {"start": float("nan")}, {"start": 1.5}, {"start": -0.1},
-                {"max_generations": 0}, {"threads": 0}, {"replicates": 150.5}]:
+                {"max_generations": 0}, {"replicates": 150.5}]:
         with pytest.raises(ValidationError):
             run_fixation("constant", d, **{**base, **bad})
     # numpy integers are integers
@@ -316,15 +319,46 @@ def test_run_fixation_neutral_matches_start():
     assert abs(est.p_hat - 0.3) < 3 * est.std_err
 
 
-def test_run_fixation_deterministic_and_thread_invariant():
+def test_run_fixation_deterministic_and_thread_invariant(monkeypatch):
+    # three blocks, each on its own streams, run on min(blocks, usable CPUs)
+    # threads: the CPUs of the affinity, else os.cpu_count(), else one; the
+    # counts are the same on every pool size
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     d = validate_distribution([0.6, 0.4])
-    kwargs = dict(n_pop=80, start=0.2, replicates=8192, max_generations=4000)
-    a = run_fixation("constant", d, seed=9, threads=1, **kwargs)
-    b = run_fixation("constant", d, seed=9, threads=4, **kwargs)
-    c = run_fixation("constant", d, seed=9, threads=1, **kwargs)
-    assert a == b == c
-    other = run_fixation("constant", d, seed=10, threads=1, **kwargs)
-    assert other.fixed_count != a.fixed_count or other.lost_count != a.lost_count
+    kwargs = dict(n_pop=80, start=0.2, replicates=2 * BLOCK_SIZE + 100,
+                  max_generations=4000)
+    runs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        runs.append(run_fixation("constant", d, seed=9, **kwargs))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus in (2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        runs.append(run_fixation("constant", d, seed=9, **kwargs))
+    assert pools == [2, 3, 2]
+    assert all(est == runs[0] for est in runs)
+    other = run_fixation("constant", d, seed=10, **kwargs)
+    assert other.fixed_count != runs[0].fixed_count or other.lost_count != runs[0].lost_count
+
+
+def test_run_fixation_one_block_builds_no_pool(monkeypatch):
+    # one block needs one worker, however many CPUs are usable
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool built")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    d = validate_distribution([0.6, 0.4])
+    est = run_fixation("constant", d, 80, 0.2, BLOCK_SIZE, 4000, seed=9)
+    assert est.fixed_count + est.lost_count + est.censored_count == BLOCK_SIZE
 
 
 def test_degenerate_regimes_bit_identical_to_constant():
