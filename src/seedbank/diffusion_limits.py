@@ -453,29 +453,6 @@ PDE_NODES = 201
 PDE_DT = 0.005
 
 
-def _pde_operator_rows(mu, half_sig2, h):
-    """Tridiagonal rows (sub, diag, super) of the discrete generator at the
-    interior nodes, with upwinding of the advection when the cell Peclet
-    number |mu| h / (sigma^2 / 2) exceeds 2 (infinite where sigma^2 = 0).
-
-    The central rows are built for every node and overwritten at the
-    upwinded ones only.  The Peclet test is made as |mu| h > sigma^2, without
-    the division: for floats the two comparisons agree exactly.
-    """
-    a = half_sig2 / h**2
-    mu_2h = mu / (2.0 * h)
-    sub, diag, sup = a - mu_2h, -2.0 * a, a + mu_2h
-    upwind = ~(half_sig2 > 0) | (np.abs(mu) * h > 2.0 * half_sig2)
-    if upwind.any():
-        a_up, mu_up = a[upwind], mu[upwind]
-        forward, mu_h = mu_up > 0, mu_up / h
-        diffusive = -2.0 * a_up
-        sub[upwind] = np.where(forward, a_up, a_up - mu_h)
-        diag[upwind] = np.where(forward, diffusive - mu_h, diffusive + mu_h)
-        sup[upwind] = np.where(forward, a_up + mu_h, a_up)
-    return sub, diag, sup
-
-
 def logistic_xi(r, xi_inf, t):
     """Closed-form logistic population size with xi(0) = 1."""
     t = np.asarray(t, dtype=float)
@@ -483,23 +460,60 @@ def logistic_xi(r, xi_inf, t):
     return out.item() if out.ndim == 0 else out
 
 
-def _block_bands(sub, diag, sup):
-    """dgtsv's bands (dl, d, du) for an (S, M, L) stack of tridiagonal rows:
-    row s of each band holds step s's M systems end to end, one block-diagonal
-    system of size M L.
+class _MarchOperator:
+    """xi L(xi) = L0 - alpha L1 on the interior nodes, grid step h, for (M, n)
+    factors (a row per bank): L0 = selection d/drho + half_var d2/drho2,
+    L1 = pull d/drho, alpha = r xi (xi_inf - xi).  The central rows of -L0
+    and L1 are built once, flat, each bank's block end to end: its interior
+    nodes, then its node u(1) = 1, whose row is zero.  A node whose
+    cell Peclet number |mu| h / (sigma^2 / 2) exceeds 2 (always where
+    sigma^2 = 0) upwinds: its row of L is the central row plus e (1, -2, 1),
+    e = |mu| / (2h).  Node i is central for alpha in [lo_i, hi_i]; steps whose
+    alphas lie in the intersection, shrunk by a relative 1e-9 (far above the
+    Peclet test's rounding), skip the test."""
 
-    The coupling entries between blocks are zeroed, and a zero coupling
-    contributes exact zeros to the elimination, so each block's solution is
-    bit for bit the one a separate solve would give.  ``sub[..., 0]`` and
-    ``sup[..., -1]`` are ignored; the bands are views of the arguments where
-    they can be, so the caller reads neither argument again.
-    """
-    steps, _, size = diag.shape
-    dl = sub.reshape(steps, -1)[:, 1:]
-    du = sup.reshape(steps, -1)[:, :-1]
-    dl[:, size - 1::size] = 0.0
-    du[:, size - 1::size] = 0.0
-    return dl, diag.reshape(steps, -1), du
+    def __init__(self, selection, pull, half_var, h):
+        self.factors, self.h, self.size = (selection, pull, half_var), h, selection.shape[1] + 1
+        a, sel_2h, pull_2h = half_var / (h * h), selection / (2.0 * h), pull / (2.0 * h)
+        # rows (sub, diag, super) of -L0, then (sub, super) of L1; a block's
+        # first sub entry couples to u(0) = 0 and is dropped
+        rows = np.pad([sel_2h - a, 2.0 * a, -a - sel_2h, -pull_2h, pull_2h],
+                      ((0, 0), (0, 0), (0, 1))).reshape(5, -1)
+        rows[[0, 3], ::self.size] = 0.0
+        self.rows0, self.rows1 = rows[:3], rows[3:]
+        w = 2.0 * half_var / h  # central while |selection - pull alpha| <= w
+        w = np.where(half_var > 0, w - 1e-9 * (w + np.abs(selection)), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN fails the filter
+            self.alpha_lo = np.max((selection - w) / pull)
+            self.alpha_hi = np.min((selection + w) / pull)
+
+    def central(self, alpha):
+        """The filter: True when no node upwinds at any of the alphas."""
+        return bool(self.alpha_lo <= alpha.min() and alpha.max() <= self.alpha_hi)
+
+    def upwinding(self, xi, alpha):
+        """xi e at the upwinded nodes and 0 elsewhere, flat rows for (S,) xi
+        and alpha; |mu| h > sigma^2 agrees with the Peclet test exactly."""
+        selection, pull, half_var = self.factors
+        drift = selection - pull * alpha[:, None, None]
+        mu, half_sig2 = drift / xi[:, None, None], half_var / xi[:, None, None]
+        upwind = ~(half_sig2 > 0) | (np.abs(mu) * self.h > 2.0 * half_sig2)
+        e = np.where(upwind, np.abs(drift) / (2.0 * self.h), 0.0)
+        return np.pad(e, ((0, 0), (0, 0), (0, 1))).reshape(len(xi), -1)
+
+    def bands(self, xi, alpha, shift):
+        """dgtsv's bands (dl, d, du) of shift I - xi L (shift alone on the u(1)
+        rows), a row per step of (S,) xi, alpha and shift.  Zero couplings
+        between blocks and a zero upwinding correction add exact zeros, so each
+        block solves bit for bit as it would alone."""
+        (sub0, diag0, sup0), (sub1, sup1) = self.rows0, self.rows1
+        alpha_col = alpha[:, None]
+        dl, dd, du = alpha_col * sub1 + sub0, shift[:, None] + diag0, alpha_col * sup1 + sup0
+        if not self.central(alpha):
+            e = self.upwinding(xi, alpha)
+            dl, dd, du = dl - e, dd + 2.0 * e, du - e
+            dl[:, ::self.size] = 0.0
+        return dl[:, 1:], dd, du[:, :-1]
 
 
 # the environment counts as settled once |xi - xi_inf| <= _SETTLE_TOL; a
@@ -507,10 +521,10 @@ def _block_bands(sub, diag, sup):
 _SETTLE_TOL = 1e-8
 _SETTLE_BUDGET = 1e4
 
-# elements of each (steps, batch, interior node) array of one chunk of the
-# Crank-Nicolson march, kept cache-sized: against the per-step build on a 2 MB
-# L2 Xeon, 2**13 ran 1- to 20-bank marches 0.52x to 0.93x as long, and 2**14
-# ran 10- and 20-bank marches 1.03x and 1.18x as long
+# elements of each (steps, batch x node) band of one chunk of the Crank-Nicolson
+# march, kept cache-sized: on a 2 MB L2 Xeon, one step per chunk ran 1-bank
+# marches 2.2x to 2.4x and 10- and 20-bank ones 1.15x and 1.06x as long, and
+# 2**12 and 2**14 ran them within 10 % of 2**13
 _CHUNK_ELEMENTS = 2**13
 
 
@@ -553,15 +567,19 @@ def kolmogorov_fixation(d, logistic, start_rho):
     (|xi - xi_inf| <= 1e-8) with the autonomous stationary profile, and
     returns u(0, start_rho), on ``PDE_NODES`` nodes with step ``PDE_DT``.
 
+    L = (L0 - alpha(xi) L1) / xi with L0 and L1 fixed (``_MarchOperator``)
+    and xi(t) in closed form, so each chunk of Crank-Nicolson steps forms
+    its bands (xi/lam) I - xi L (lam = dt/2) from two scalars per step, and
+    a step is one LAPACK tridiagonal solve (``dgtsv``): u+ = 2x - u with
+    (I - lam L) x = u, the explicit half and the implicit solve in one.
+
     ``d`` is one distribution, with a scalar ``start_rho`` (a float is
     returned), or a ``Banks`` stack with an array of one start per
     distribution (an array is returned).  The settle time depends only on
     the logistic, so a stack marches in lock-step: phi'' on the grid is one
     call of the stack's ``drift_factor_fn`` (rows that equal each bank's
-    own phi'' bit for bit), each chunk of Crank-Nicolson steps builds the
-    operator rows of every step and distribution at once (xi(t) is known in
-    closed form before the march), each step solves all its systems in one
-    LAPACK call, and each result is bit for bit that of a call with its
+    own phi'' bit for bit), each step solves all its systems in one LAPACK
+    call, and each result is bit for bit that of a call with its
     distribution alone.  Raises ``SingularSystem`` on a zero pivot and
     ``NoConvergence`` on a non-finite value.
     """
@@ -578,42 +596,34 @@ def kolmogorov_fixation(d, logistic, start_rho):
     n_steps = _settle_steps(r, xi_inf, PDE_DT)
     dgtsv = _lapack().dgtsv  # resolved once, not per step
 
-    # (batch, interior node) arrays
     big_b = np.reshape(d.mean_time, (-1, 1))
-    h = 1.0 / (PDE_NODES - 1)
     rho = np.linspace(0.0, 1.0, PDE_NODES)
     interior = rho[1:-1]
     phi2_grid = drift_factor_fn(d)(interior).reshape(len(big_b), -1)
     _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
-    half_var = 0.5 * variance
-
-    def coefficients(xi):
-        # the slow pair's drift and half variance at eta = 0, alpha = r xi (xi_inf - xi)
-        return (selection - pull * (r * xi * (xi_inf - xi))) / xi, half_var / xi
+    op = _MarchOperator(selection, pull, 0.5 * variance, 1.0 / (PDE_NODES - 1))
 
     def solve(dl, dd, du, rhs):
         # every band and rhs is used once, so dgtsv may overwrite them all
-        _, _, _, x, info = dgtsv(dl, dd, du, rhs.ravel(), overwrite_dl=1,
-                                 overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        _, _, _, x, info = dgtsv(dl, dd, du, rhs, overwrite_dl=1, overwrite_d=1,
+                                 overwrite_du=1, overwrite_b=1)
         if info > 0:
             raise SingularSystem(f"Crank-Nicolson system is singular (zero pivot at "
                                  f"row {info})")
-        return x.reshape(rhs.shape)
+        return x
 
     def check_finite(values):
         if not np.isfinite(values).all():
             raise NoConvergence("backward PDE produced non-finite values")
 
     # terminal condition: discrete stationary profile of the autonomous
-    # operator at xi_inf (exactly stationary under the scheme by construction)
-    sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
-    u = np.zeros((len(big_b), PDE_NODES))
-    u[:, -1] = 1.0  # Dirichlet u(0) = 0, u(1) = 1
-    rhs = np.zeros_like(diag)
-    rhs[:, -1] = -sup[:, -1]
-    (dl,), (dd,), (du,) = _block_bands(sub[None], diag[None], sup[None])
-    u[:, 1:-1] = solve(dl, dd, du, rhs)
-    check_finite(u)
+    # operator at xi_inf, -xi L v = 0 with u(1) = 1 (exactly stationary under
+    # the scheme); v holds each bank's interior nodes and u(1), end to end
+    (dl,), (dd,), (du,) = op.bands(np.array([xi_inf]), np.zeros(1), np.zeros(1))
+    v = np.zeros_like(dd)
+    v[op.size - 1::op.size] = dd[op.size - 1::op.size] = 1.0
+    v = solve(dl, dd, du, v)
+    check_finite(v)
 
     # march backward from the settle time t_switch to 0 with Crank-Nicolson.
     # t_switch is dt summed n_steps times, rounded at each addition; n_steps * dt
@@ -622,28 +632,18 @@ def kolmogorov_fixation(d, logistic, start_rho):
     t_switch = 0.0
     for _ in range(n_steps):
         t_switch += PDE_DT
-    lam = 0.5 * PDE_DT
     t_new = t_switch - np.arange(1, n_steps + 1) * PDE_DT
     xis = logistic_xi(r, xi_inf, t_new + 0.5 * PDE_DT)
-    # the operator depends on xi alone, so each chunk of steps builds its rows
-    # and implicit bands in one pass over an (S, M, L) stack; every operation is
-    # elementwise, so each step's rows are those a per-step build gives
+    alphas, shifts = r * xis * (xi_inf - xis), xis / (0.5 * PDE_DT)
     chunk = max(1, _CHUNK_ELEMENTS // selection.size)
     for first in range(0, n_steps, chunk):
-        xi = xis[first:first + chunk, None, None]
-        sub, diag, sup = _pde_operator_rows(*coefficients(xi), h)
-        bands = zip(*_block_bands(-lam * sub, 1.0 - lam * diag, -lam * sup))
-        fold = lam * sup[:, :, -1]
-        for sub_s, diag_s, sup_s, fold_s, (dl, dd, du) in zip(sub, diag, sup, fold, bands):
-            # explicit half
-            v = u[:, 1:-1]
-            rhs = v + lam * (sub_s * u[:, :-2] + diag_s * v + sup_s * u[:, 2:])
-            # implicit half: (I - lam L) u_new = rhs, u(1) = 1 folded in
-            rhs[:, -1] += fold_s
-            u[:, 1:-1] = solve(dl, dd, du, rhs)
+        xi, alpha, shift = (a[first:first + chunk] for a in (xis, alphas, shifts))
+        for s, dl, dd, du in zip(shift, *op.bands(xi, alpha, shift)):
+            v = 2.0 * solve(dl, dd, du, s * v) - v
         # a non-finite value carries through every later step, so one check
         # per chunk catches it
-        check_finite(u)
+        check_finite(v)
 
+    u = np.pad(v.reshape(len(big_b), -1), ((0, 0), (1, 0)))
     out = np.array([np.interp(s, rho, row) for s, row in zip(starts.reshape(-1), u)])
     return out if starts.ndim else float(out[0])

@@ -25,8 +25,8 @@ from seedbank.diffusion_limits import (
     PDE_DT,
     PDE_NODES,
     _bounding_fixation,
+    _MarchOperator,
     _cheb_integral,
-    _pde_operator_rows,
     _settle_steps,
     _slow_factors,
     constant_coefficients_vec,
@@ -848,25 +848,63 @@ def loop_operator_rows(mu, half_sig2, h):
     return sub, diag, sup
 
 
+def operator_rows(mu, half_sig2, h):
+    """The rows (sub, diag, super) of L that ``_MarchOperator`` builds for the
+    drift mu and half variance half_sig2 at xi = 1 and alpha = 0: the bands
+    of 0 I - xi L, negated, without the u(1) row (the first sub entry is
+    dropped there)."""
+    op = _MarchOperator(mu[None], np.zeros((1, mu.size)), half_sig2[None], h)
+    (dl,), (dd,), (du,) = op.bands(np.ones(1), np.zeros(1), np.zeros(1))
+    assert not (dl[-1] or dd[-1])
+    return np.concatenate(([0.0], -dl[:-1])), -dd[:-1], -du
+
+
+def assert_rows_match_loop(mu, half_sig2, h):
+    # central plus e (1, -2, 1) is the upwinded row up to a few roundings of
+    # the row's scale; a wrong upwinding decision would be off by e
+    scale = half_sig2 / h**2 + np.abs(mu) / h
+    for i, (got, want) in enumerate(zip(operator_rows(mu, half_sig2, h),
+                                        loop_operator_rows(mu, half_sig2, h))):
+        keep = slice(1 if i == 0 else 0, None)
+        assert np.all(np.abs(got - want)[keep] <= 8e-16 * scale[keep])
+
+
 def test_pde_operator_rows_match_per_node_loop():
-    # bit-identical, across central and upwinded nodes and sigma^2 = 0 nodes
+    # across central and upwinded nodes and sigma^2 = 0 nodes
     rng = np.random.default_rng(83)
     for _ in range(200):
         mu = rng.standard_normal(60) * 10.0 ** rng.uniform(-3.0, 2.0)
         half_sig2 = np.abs(rng.standard_normal(60)) * 10.0 ** rng.uniform(-4.0, 0.0)
         half_sig2[rng.random(60) < 0.1] = 0.0
         mu[rng.random(60) < 0.1] = 0.0
-        for got, want in zip(_pde_operator_rows(mu, half_sig2, 0.005),
-                             loop_operator_rows(mu, half_sig2, 0.005)):
-            np.testing.assert_array_equal(got, want)
+        assert_rows_match_loop(mu, half_sig2, 0.005)
     # Peclet numbers at 2 and one ulp of mu either side of it
     half_sig2 = np.repeat(np.abs(rng.standard_normal(200)) + 1e-3, 3)
     at_two = 2.0 * half_sig2[::3] / 0.005
     mu = np.stack([np.nextafter(at_two, 0.0), at_two, np.nextafter(at_two, np.inf)], 1)
     mu = mu.ravel() * np.repeat(rng.choice([-1.0, 1.0], 200), 3)
-    for got, want in zip(_pde_operator_rows(mu, half_sig2, 0.005),
-                         loop_operator_rows(mu, half_sig2, 0.005)):
-        np.testing.assert_array_equal(got, want)
+    assert_rows_match_loop(mu, half_sig2, 0.005)
+
+
+def test_march_operator_filter_fails_inside_its_margin():
+    # |alpha| <= 1 is central at xi = 1 (w = 2 half_var / h = pull = 1); at
+    # alpha = +-1 the shrunk interval fails the filter, the Peclet test finds
+    # no upwinded node, and the bands are the central ones bit for bit
+    h = 0.005
+    op = _MarchOperator(np.zeros((2, 3)), np.ones((2, 3)), np.full((2, 3), h / 2), h)
+    xi = np.ones(2)
+    for alpha in ([1.0, -1.0], [0.5, -0.5]):
+        alpha = np.array(alpha)
+        assert op.central(alpha) == (alpha[0] == 0.5)
+        assert not op.upwinding(xi, alpha).any()
+        sub0, diag0, sup0 = op.rows0
+        sub1, sup1 = op.rows1
+        want_du = alpha[:, None] * sup1 + sup0
+        got = op.bands(xi, alpha, 2.0 * xi)
+        assert_same_bits(got[0], (alpha[:, None] * sub1 + sub0)[:, 1:])
+        assert_same_bits(got[1], 2.0 * xi[:, None] + diag0)
+        assert_same_bits(got[2], want_du[:, :-1])
+    assert op.central(np.array([1.0 - 1e-6])) and not op.central(np.array([1.0 + 1e-6]))
 
 
 def test_logistic_xi():
@@ -982,9 +1020,9 @@ def test_kolmogorov_batch_matches_scalar_calls():
 
 
 @pytest.mark.parametrize("b0, xi_inf, want", [
-    (0.1, 0.8, 0.0024346504283867393),
-    (0.5, 1.2, 0.0038681947823648094),
-    (0.7, 0.8, 0.006023679489550163),
+    (0.1, 0.8, 0.0024346504283867857),
+    (0.5, 1.2, 0.003868194782364981),
+    (0.7, 0.8, 0.006023679489550241),
 ])
 def test_kolmogorov_pinned_values(b0, xi_inf, want):
     # fixation-vs-b0 rows at --r 20 --y 0.01, exact: the CSV bytes depend on
@@ -993,54 +1031,110 @@ def test_kolmogorov_pinned_values(b0, xi_inf, want):
     assert kolmogorov_fixation(d, {"r": 20.0, "xi_inf": xi_inf}, psi(d.mean_time, 0.01)) == want
 
 
-def loop_kolmogorov(banks, logistic, starts):
-    """The Crank-Nicolson march of a stack with the operator built and solved
-    step by step (the reference for the chunked march)."""
+def old_operator_rows(mu, half_sig2, h):
+    """The generator's rows (sub, diag, super) as the march built them from
+    mu and sigma^2 / 2 before its two fixed operators: central rows,
+    overwritten with the upwinded ones where the Peclet number exceeds 2."""
+    a = half_sig2 / h**2
+    mu_2h = mu / (2.0 * h)
+    sub, diag, sup = a - mu_2h, -2.0 * a, a + mu_2h
+    upwind = ~(half_sig2 > 0) | (np.abs(mu) * h > 2.0 * half_sig2)
+    if upwind.any():
+        a_up, mu_up = a[upwind], mu[upwind]
+        forward, mu_h = mu_up > 0, mu_up / h
+        diffusive = -2.0 * a_up
+        sub[upwind] = np.where(forward, a_up, a_up - mu_h)
+        diag[upwind] = np.where(forward, diffusive - mu_h, diffusive + mu_h)
+        sup[upwind] = np.where(forward, a_up + mu_h, a_up)
+    return sub, diag, sup
+
+
+def solve_bands(dl, d, du, rhs):
+    """dgtsv on copies of its bands and right-hand side, checked."""
     from scipy.linalg.lapack import dgtsv
 
-    def solve_tridiag_blocks(sub, diag, sup, rhs):
-        size = diag.shape[1]
-        dl = sub.ravel()[1:].copy()
-        du = sup.ravel()[:-1].copy()
-        dl[size - 1::size] = 0.0
-        du[size - 1::size] = 0.0
-        _, _, _, x, info = dgtsv(dl, diag.ravel(), du, rhs.ravel(),
-                                 overwrite_dl=1, overwrite_du=1)
-        assert info == 0 and np.all(np.isfinite(x))
-        return x.reshape(diag.shape)
+    _, _, _, x, info = dgtsv(dl.copy(), d.copy(), du.copy(), rhs.copy())
+    assert info == 0 and np.all(np.isfinite(x))
+    return x
 
+
+def solve_tridiag_blocks(sub, diag, sup, rhs):
+    """Block-diagonal tridiagonal solve of (M, n) rows, couplings zeroed."""
+    size = diag.shape[-1]
+    dl = sub.ravel()[1:].copy()
+    du = sup.ravel()[:-1].copy()
+    dl[size - 1::size] = 0.0
+    du[size - 1::size] = 0.0
+    return solve_bands(dl, diag.ravel(), du, rhs.ravel())
+
+
+def march_setup(banks, logistic):
+    """The march's factors of a stack, its midpoint xi and alpha per step, and
+    its grid, as ``kolmogorov_fixation`` makes them."""
     r, xi_inf = float(logistic["r"]), float(logistic["xi_inf"])
     n_steps = _settle_steps(r, xi_inf, PDE_DT)
-    big_b = banks.mean_time[:, None]
-    h = 1.0 / (PDE_NODES - 1)
     rho = np.linspace(0.0, 1.0, PDE_NODES)
-    interior = rho[1:-1]
-    phi2_grid = drift_factor_fn(banks)(interior)
-    _, selection, pull, variance, _ = _slow_factors(big_b, interior, phi2_grid)
-    half_var = 0.5 * variance
-
-    def coefficients(xi):
-        return (selection - pull * (r * xi * (xi_inf - xi))) / xi, half_var / xi
-
-    sub, diag, sup = _pde_operator_rows(*coefficients(xi_inf), h)
-    u = np.zeros((len(banks.array), PDE_NODES))
-    u[:, -1] = 1.0
-    rhs = np.zeros_like(diag)
-    rhs[:, -1] = -sup[:, -1]
-    u[:, 1:-1] = solve_tridiag_blocks(sub, diag, sup, rhs)
-
+    phi2_grid = drift_factor_fn(banks)(rho[1:-1])
+    _, selection, pull, variance, _ = _slow_factors(banks.mean_time[:, None], rho[1:-1],
+                                                    phi2_grid)
     t_switch = 0.0
     for _ in range(n_steps):
         t_switch += PDE_DT
+    xis = logistic_xi(r, xi_inf, t_switch - np.arange(1, n_steps + 1) * PDE_DT + 0.5 * PDE_DT)
+    return (selection, pull, 0.5 * variance), xis, r * xis * (xi_inf - xis), rho
+
+
+def interpolate(rho, v, starts):
+    u = np.pad(v.reshape(len(starts), -1), ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+    return np.array([np.interp(s, rho, row) for s, row in zip(starts, u)])
+
+
+def loop_kolmogorov(banks, logistic, starts):
+    """The Crank-Nicolson march of a stack in its earlier scheme, the oracle
+    of the two-operator march: the operator rows built from mu and sigma^2 / 2
+    step by step, an explicit half and an implicit solve per step."""
+    (selection, pull, half_var), xis, alphas, rho = march_setup(banks, logistic)
+    xi_inf = float(logistic["xi_inf"])
+    h = 1.0 / (PDE_NODES - 1)
+    sub, diag, sup = old_operator_rows(selection / xi_inf, half_var / xi_inf, h)
+    rhs = np.zeros_like(diag)
+    rhs[:, -1] = -sup[:, -1]
+    u = np.zeros((len(starts), PDE_NODES))
+    u[:, -1] = 1.0
+    u[:, 1:-1] = solve_tridiag_blocks(sub, diag, sup, rhs).reshape(diag.shape)
     lam = 0.5 * PDE_DT
-    t_new = t_switch - np.arange(1, n_steps + 1) * PDE_DT
-    for xi in logistic_xi(r, xi_inf, t_new + 0.5 * PDE_DT):
-        sub, diag, sup = _pde_operator_rows(*coefficients(xi), h)
+    for xi, alpha in zip(xis, alphas):
+        sub, diag, sup = old_operator_rows((selection - pull * alpha) / xi, half_var / xi, h)
         v = u[:, 1:-1]
         rhs = v + lam * (sub * u[:, :-2] + diag * v + sup * u[:, 2:])
         rhs[:, -1] += lam * sup[:, -1]
-        u[:, 1:-1] = solve_tridiag_blocks(-lam * sub, 1.0 - lam * diag, -lam * sup, rhs)
-    return np.array([np.interp(s, rho, row) for s, row in zip(starts, u)])
+        u[:, 1:-1] = solve_tridiag_blocks(-lam * sub, 1.0 - lam * diag, -lam * sup,
+                                          rhs).reshape(diag.shape)
+    return interpolate(rho, u[:, 1:-1], starts)
+
+
+def step_kolmogorov(banks, logistic, starts):
+    """The two-operator march of a stack with the bands formed and solved
+    step by step (the reference for the chunked march)."""
+    factors, xis, alphas, rho = march_setup(banks, logistic)
+    op = _MarchOperator(*factors, 1.0 / (PDE_NODES - 1))
+    (dl,), (dd,), (du,) = op.bands(np.array([float(logistic["xi_inf"])]), np.zeros(1),
+                                   np.zeros(1))
+    v = np.zeros_like(dd)
+    v[op.size - 1::op.size] = dd[op.size - 1::op.size] = 1.0
+    v = solve_bands(dl, dd, du, v)
+    for s in range(len(xis)):
+        shift = xis[s:s + 1] / (0.5 * PDE_DT)
+        (dl,), (dd,), (du,) = op.bands(xis[s:s + 1], alphas[s:s + 1], shift)
+        v = 2.0 * solve_bands(dl, dd, du, shift[0] * v) - v
+    return interpolate(rho, v.reshape(len(starts), -1)[:, :-1], starts)
+
+
+def march(ds, logistic, starts):
+    """kolmogorov_fixation of one bank (as a list) or of a stack."""
+    if len(ds) == 1:
+        return [kolmogorov_fixation(ds[0], logistic, starts[0])]
+    return kolmogorov_fixation(stack(ds), logistic, starts)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -1053,10 +1147,25 @@ def test_kolmogorov_matches_per_step_loop(k):
         starts = rng.uniform(0.01, 0.6, batch)
         for xi_inf in (0.5, 0.8, 1.0, 1.2):
             logistic = {"r": 20.0, "xi_inf": xi_inf}
-            want = loop_kolmogorov(stack(ds), logistic, starts)
-            got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
-                   else kolmogorov_fixation(stack(ds), logistic, starts))
-            assert_same_bits(got, want)
+            assert_same_bits(march(ds, logistic, starts),
+                             step_kolmogorov(stack(ds), logistic, starts))
+
+
+def assert_near_old_scheme(got, banks, logistic, starts):
+    want = loop_kolmogorov(banks, logistic, starts)
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kolmogorov_matches_old_scheme(k):
+    # the two-operator march is the earlier per-step scheme up to rounding
+    rng = np.random.default_rng(71 + k)
+    for batch in (1, 3, 20):
+        ds = [random_simplex(rng, k) for _ in range(batch)]
+        starts = rng.uniform(0.01, 0.6, batch)
+        for xi_inf in (0.5, 0.8, 1.0, 1.2, 3.0):
+            logistic = {"r": 20.0, "xi_inf": xi_inf}
+            assert_near_old_scheme(march(ds, logistic, starts), stack(ds), logistic, starts)
 
 
 def test_kolmogorov_many_chunks_match_per_step_loop():
@@ -1070,9 +1179,47 @@ def test_kolmogorov_many_chunks_match_per_step_loop():
         assert n_steps >= 3 * chunk and n_steps % chunk
         ds = [random_simplex(rng, 2) for _ in range(batch)]
         starts = rng.uniform(0.01, 0.6, batch)
-        got = ([kolmogorov_fixation(ds[0], logistic, starts[0])] if batch == 1
-               else kolmogorov_fixation(stack(ds), logistic, starts))
-        assert_same_bits(got, loop_kolmogorov(stack(ds), logistic, starts))
+        assert_same_bits(march(ds, logistic, starts),
+                         step_kolmogorov(stack(ds), logistic, starts))
+
+
+def upwinded_node_steps(banks, logistic):
+    """Whether the filter passes every step, and the upwinded node-steps of
+    the march, the terminal solve included, out of all of them."""
+    factors, xis, alphas, _ = march_setup(banks, logistic)
+    op = _MarchOperator(*factors, 1.0 / (PDE_NODES - 1))
+    xis = np.append(float(logistic["xi_inf"]), xis)
+    alphas = np.append(0.0, alphas)
+    e = op.upwinding(xis, alphas).reshape(len(xis), len(banks.mean_time), -1)[:, :, :-1]
+    return op.central(alphas), int(np.count_nonzero(e)), e.size
+
+
+@pytest.mark.parametrize("b, r, xi_inf, upwinded, node_steps", [
+    ([0.05, 0.0, 0.0, 0.0, 0.95], 20.0, 3.0, 1659, 13731),
+    ([0.05, 0.95], 50.0, 5.0, 528, 3781),
+])
+def test_kolmogorov_upwinding_march(b, r, xi_inf, upwinded, node_steps):
+    # marches that upwind some node-steps: the filter says so, the march is
+    # the earlier scheme up to rounding, and batch rows are single calls
+    logistic = {"r": r, "xi_inf": xi_inf}
+    rng = np.random.default_rng(89)
+    ds = [validate_distribution(b)] + [random_simplex(rng, len(b) - 1) for _ in range(2)]
+    starts = np.array([0.1, 0.02, 0.4])
+    assert upwinded_node_steps(stack(ds[:1]), logistic) == (False, upwinded, node_steps)
+    single = [kolmogorov_fixation(d, logistic, s) for d, s in zip(ds, starts)]
+    assert_near_old_scheme(single[:1], stack(ds[:1]), logistic, starts[:1])
+    assert_near_old_scheme(single, stack(ds), logistic, starts)
+    assert_same_bits(kolmogorov_fixation(stack(ds), logistic, starts), single)
+
+
+def test_kolmogorov_failed_filter_without_upwinding_changes_no_bit(monkeypatch):
+    # a chunk that fails the filter but upwinds no node adds zero corrections
+    d = validate_distribution([0.3, 0.7])
+    logistic = {"r": 20.0, "xi_inf": 0.8}
+    assert upwinded_node_steps(stack([d]), logistic)[:2] == (True, 0)
+    want = kolmogorov_fixation(d, logistic, 0.1)
+    monkeypatch.setattr(_MarchOperator, "central", lambda self, alpha: False)
+    assert_same_bits(kolmogorov_fixation(d, logistic, 0.1), want)
 
 
 @pytest.mark.parametrize("where", ["terminal", "first", "middle", "last"])
@@ -1100,10 +1247,11 @@ def test_kolmogorov_non_finite_mid_march_raises(monkeypatch, where):
 
 
 def test_kolmogorov_singular_system_is_typed(monkeypatch):
-    def zero_rows(mu, half_sig2, h):
-        return np.zeros_like(mu), np.zeros_like(mu), np.zeros_like(mu)
+    def zero_bands(self, xi, alpha, shift):
+        n = self.rows0[1].size
+        return np.zeros((len(xi), n - 1)), np.zeros((len(xi), n)), np.zeros((len(xi), n - 1))
 
-    monkeypatch.setattr(diffusion_limits, "_pde_operator_rows", zero_rows)
+    monkeypatch.setattr(_MarchOperator, "bands", zero_bands)
     d = validate_distribution([0.5, 0.5])
     with pytest.raises(SingularSystem):
         kolmogorov_fixation(stack([d, d]), {"r": 20.0, "xi_inf": 0.8}, [0.1, 0.2])
